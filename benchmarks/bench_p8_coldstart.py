@@ -1,6 +1,6 @@
-"""P8 `coldstart` -- streaming parse, compiled-artifact cache, overlapped pool.
+"""P8 `coldstart` -- streaming parse and the compiled-artifact cache.
 
-Three claims, each gated:
+Two claims, each gated:
 
 * **Warm re-run is O(changed)**: planning an unchanged estate through
   the persistent compiled-artifact cache (``repro.compilecache``) must
@@ -12,21 +12,14 @@ Three claims, each gated:
   records its peak RSS (``ru_maxrss``); the streaming parse keeps the
   largest tier (``--rss-size``, default 1M resources) within
   ``--max-rss-gb`` when that gate is armed.
-* **Overlapped pool beats barrier waves**: on a staggered provider DAG
-  (small hub, fat independent units) the ready-frontier scheduler must
-  finish with a strictly smaller simulated makespan than the barrier
-  scheduler and the identical canonical state hash as the interleaved
-  single-process apply. The wall-clock gate only arms when the host
-  has >= ``--pool-workers`` cores (the CI container has one core,
-  where forked workers cannot win wall-clock).
 
 CI runs the smoke tier::
 
     python benchmarks/bench_p8_coldstart.py --sizes 1000 \
-        --pool-size 1000 --rss-size 0 --out /tmp/BENCH_coldstart.json
+        --rss-size 0 --out /tmp/BENCH_coldstart.json
 
 The checked-in ``BENCH_coldstart.json`` is the full run
-(``--sizes 10000,100000 --pool-size 100000 --rss-size 1000000``).
+(``--sizes 10000,100000 --rss-size 1000000``).
 """
 
 from __future__ import annotations
@@ -57,7 +50,6 @@ from repro.compilecache import (
     schema_fingerprint,
     variables_fingerprint,
 )
-from repro.deploy import ShardedExecutor
 from repro.deploy.incremental import read_data_sources
 from repro.graph import Planner, build_graph
 from repro.graph.critical_path import clear_analysis_cache
@@ -185,52 +177,6 @@ def run_warm_tier(
     }
 
 
-# -- pool tier ---------------------------------------------------------------
-
-
-def staggered_source(size: int) -> str:
-    """Small hub provider feeding one dependent, two fat independent
-    providers: barrier waves hold the dependent hostage to the fat
-    units, the ready frontier does not."""
-    return scale_estate_sharded(
-        size,
-        providers=4,
-        cross_link_every=10,
-        provider_weights=[1, 3, 3, 3],
-        cross_links=[(1, 0)],
-    )
-
-
-def run_pool_arm(
-    source: str, seed: int, workers: int, overlap: bool, label: str
-) -> Dict[str, Any]:
-    clear_analysis_cache()
-    gateway = CloudGateway.simulated(seed=seed, synthetic=4)
-    planner = Planner(
-        spec_lookup=gateway.try_spec,
-        region_lookup=gateway.region_for,
-        provider_lookup=gateway.provider_of,
-    )
-    graph = build_graph(Configuration.parse_streaming(source))
-    state = StateDocument()
-    data = read_data_sources(gateway, graph, state)
-    plan = planner.plan(graph, state, data_values=data)
-    executor = ShardedExecutor(gateway, workers=workers, overlap=overlap)
-    t0 = time.perf_counter()
-    result = executor.apply(plan)
-    wall = time.perf_counter() - t0
-    assert result.ok, f"{label}: apply failed: {result.failed}"
-    return {
-        "arm": label,
-        "apply_wall_s": round(wall, 4),
-        "makespan_sim_s": round(result.makespan_s, 3),
-        "mode": result.mode,
-        "waves": getattr(result, "waves", 1),
-        "overlapped": getattr(result, "overlapped", False),
-        "content_sha": result.state.content_hash(),
-    }
-
-
 # -- driver ------------------------------------------------------------------
 
 
@@ -288,41 +234,6 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
             file=sys.stderr,
         )
 
-    pool: List[Dict[str, Any]] = []
-    if args.pool_size:
-        source = staggered_source(args.pool_size)
-        interleaved = run_pool_arm(source, args.seed, 1, True, "interleaved")
-        barrier = run_pool_arm(
-            source, args.seed, args.pool_workers, False, "pool-barrier"
-        )
-        overlapped = run_pool_arm(
-            source, args.seed, args.pool_workers, True, "pool-overlapped"
-        )
-        pool = [interleaved, barrier, overlapped]
-        if len({arm["content_sha"] for arm in pool}) != 1:
-            failures.append("pool: final state hash diverged across arms")
-        if overlapped["makespan_sim_s"] >= barrier["makespan_sim_s"]:
-            failures.append(
-                f"pool: overlapped makespan {overlapped['makespan_sim_s']} "
-                f"not better than barrier {barrier['makespan_sim_s']}"
-            )
-        if (
-            cpus >= args.pool_workers
-            and overlapped["apply_wall_s"] >= barrier["apply_wall_s"]
-        ):
-            failures.append(
-                f"pool: overlapped wall {overlapped['apply_wall_s']}s "
-                f"not better than barrier {barrier['apply_wall_s']}s "
-                f"({cpus} cpus)"
-            )
-        for arm in pool:
-            print(
-                f"pool {arm['arm']:16s} wall={arm['apply_wall_s']:7.2f}s "
-                f"makespan={arm['makespan_sim_s']:9.1f}s "
-                f"waves={arm['waves']}",
-                file=sys.stderr,
-            )
-
     return {
         "benchmark": "p8_coldstart",
         "workload": "scale_estate_sharded",
@@ -330,11 +241,8 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
         "providers": args.providers,
         "cpus": cpus,
         "sizes": args.sizes,
-        "pool_size": args.pool_size,
-        "pool_workers": args.pool_workers,
         "tiers": tiers,
         "rss_tier": rss_tier,
-        "pool": pool,
         "failures": failures,
     }
 
@@ -368,13 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.0,
         help="peak-RSS gate for the --rss-size tier (0 records only)",
     )
-    parser.add_argument(
-        "--pool-size",
-        type=int,
-        default=100000,
-        help="staggered-DAG apply size for the pool arms (0 disables)",
-    )
-    parser.add_argument("--pool-workers", type=int, default=4)
     parser.add_argument(
         "--out",
         default=os.path.join(

@@ -166,12 +166,6 @@ def cmd_apply(args) -> int:
     engine = _load_engine(args)
     _attach_cache(args, engine)
     engine.wal_path = _world_path(args) + ".wal"
-    if getattr(args, "shards", None) is not None:
-        # worlds persisted by older versions lack the shard attrs;
-        # set them unconditionally rather than trusting the pickle
-        engine.executor_name = "sharded"
-        engine.shards = args.shards or None
-        engine.shard_workers = getattr(args, "shard_workers", 1)
     sources = _read_sources(args)
     try:
         result = engine.apply(sources, variables=_parse_vars(args.var))
@@ -715,22 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="no_cache",
             help="skip the compiled-artifact cache (every compile cold)",
         )
-        if name == "apply":
-            p.add_argument(
-                "--shards",
-                type=int,
-                default=None,
-                help="sharded apply: cap on shard count "
-                "(0 = one shard per provider/region partition)",
-            )
-            p.add_argument(
-                "--shard-workers",
-                type=int,
-                default=1,
-                dest="shard_workers",
-                help="process-pool workers for sharded apply "
-                "(>1 runs independent provider planes in parallel)",
-            )
         p.set_defaults(fn=fn)
 
     p = sub.add_parser(

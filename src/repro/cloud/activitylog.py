@@ -137,27 +137,6 @@ class ActivityLog:
         if not events:
             self._base = self._next_seq
 
-    def extend_from(self, events: List[ActivityEvent]) -> int:
-        """Append a tail of events recorded elsewhere (pool-worker
-        delta merge). The suffix must continue this log's sequence --
-        the caller forked the worker from this log, so the worker's
-        ``events_since(fork cursor)`` does by construction. Returns
-        how many events were appended (already-present sequences are
-        skipped, making the merge idempotent)."""
-        appended = 0
-        for event in events:
-            if event.sequence < self._next_seq:
-                continue
-            if event.sequence != self._next_seq:
-                raise ValueError(
-                    f"log suffix skips sequence {self._next_seq} "
-                    f"(got {event.sequence})"
-                )
-            self._events.append(event)
-            self._next_seq += 1
-            appended += 1
-        return appended
-
     def all_events(self) -> List[ActivityEvent]:
         return list(self._events)
 

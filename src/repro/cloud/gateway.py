@@ -41,7 +41,7 @@ class CloudGateway:
 
         ``synthetic=N`` adds N aws-shaped synthetic planes (``syn0``,
         ``syn1``, ...; see :mod:`repro.cloud.synthetic`) -- the
-        substrate for multi-plane sharding benchmarks.
+        substrate for multi-plane scale benchmarks.
         """
         clock = clock or SimClock()
         planes = {

@@ -1,6 +1,6 @@
 """Synthetic provider planes for scale benchmarks.
 
-The sharding work needs estates that span many independent control
+Scale benchmarks need estates that span many independent control
 planes, but hand-maintaining N provider catalogs would be busywork: a
 synthetic plane *clones* the aws catalog under a new type prefix
 (``syn0_vpc``, ``syn1_subnet``, ...), rewriting reference semantics and

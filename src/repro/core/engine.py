@@ -218,8 +218,6 @@ class CloudlessEngine:
         wal_path: Optional[str] = None,
         health: Optional[HealthMonitor] = None,
         breaker_policy: Optional[BreakerPolicy] = None,
-        shards: Optional[int] = None,
-        shard_workers: int = 1,
         cache_dir: Optional[str] = None,
     ):
         self.seed = seed
@@ -242,10 +240,6 @@ class CloudlessEngine:
         self.executor_name = executor
         self.concurrency = concurrency
         self.retry = retry
-        #: sharded apply: cap on shard count (None = one per
-        #: (provider, region) partition) and pool-worker count
-        self.shards = shards
-        self.shard_workers = shard_workers
         self.state = StateDocument()
         self.history = SnapshotHistory()
         self.controller = InfrastructureController()
@@ -323,17 +317,6 @@ class CloudlessEngine:
         return config, texts
 
     def _executor(self) -> PlanExecutor:
-        if self.executor_name == "sharded":
-            from ..deploy.sharded import ShardedExecutor
-
-            return ShardedExecutor(
-                self.gateway,
-                concurrency=self.concurrency,
-                retry=self.retry,
-                health=self.health,
-                max_shards=self.shards,
-                workers=self.shard_workers,
-            )
         cls = EXECUTORS.get(self.executor_name)
         if cls is None:
             raise EngineError(f"unknown executor {self.executor_name!r}")

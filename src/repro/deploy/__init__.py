@@ -27,20 +27,12 @@ from .incremental import (
     read_data_sources,
     refresh_state,
 )
-from .sharded import (
-    CompletionLedger,
-    FencingError,
-    ShardedApplyResult,
-    ShardedExecutor,
-)
 
 __all__ = [
     "ApplyResult",
     "BestEffortExecutor",
-    "CompletionLedger",
     "CrashRecovery",
     "CriticalPathExecutor",
-    "FencingError",
     "IncrementalPatchError",
     "IncrementalPlanResult",
     "IncrementalSession",
@@ -54,8 +46,6 @@ __all__ = [
     "RefreshResult",
     "RetryPolicy",
     "SequentialExecutor",
-    "ShardedApplyResult",
-    "ShardedExecutor",
     "SimulatedCrash",
     "UpdatePipeline",
     "UpdatePlanResult",

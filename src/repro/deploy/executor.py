@@ -40,7 +40,6 @@ from ..cloud.resilience import (
 )
 from ..graph.critical_path import analyze
 from ..graph.dag import Dag
-from ..graph.partition import change_partition
 from ..graph.plan import Action, Plan, PlannedChange
 from ..lang.values import is_unknown
 from ..perf import PERF
@@ -779,9 +778,25 @@ class PlanExecutor:
         Planner-populated ``change.region`` first (set from provider
         config, location attrs, or prior state), then the prior state
         entry's home region, then the provider default. Provider ""
-        means unknown -- the caller skips gating. Shared with the
-        shard partitioner so gating and sharding agree."""
-        return change_partition(change, state, self.gateway)
+        means unknown (unroutable type) -- the caller skips gating."""
+        gateway = self.gateway
+        provider = change.provider
+        if not provider:
+            try:
+                provider = gateway.provider_of(change.rtype)
+            except Exception:
+                return ("", "")
+        region = change.region or ""
+        if not region:
+            prior = change.prior if change.prior else state.get(change.address)
+            if prior is not None and prior.region:
+                region = prior.region
+        if not region:
+            try:
+                region = gateway.default_region(change.rtype)
+            except Exception:
+                region = ""
+        return (provider, region)
 
     def _submit_operation(
         self, plan: Plan, rc: _Running, state: StateDocument, token: str = ""

@@ -278,8 +278,8 @@ class IncrementalSession:
     re-expanded and re-diffed:
 
     * fingerprint the patch decls against the resident config; no-op
-      decls are dropped (``shard.dirty_nodes_replanned`` counts what
-      survives);
+      decls are dropped (``incremental.dirty_nodes_replanned``
+      counts what survives);
     * swap the dirty declarations into the resident graph O(dirty +
       dependents): old instances out, re-expanded instances in,
       dependency edges rewired from the new expressions;
@@ -500,7 +500,7 @@ class IncrementalSession:
             addr_text = str(entry.address)
             if addr_text in seeds and addr_text not in graph.nodes:
                 scope.add(addr_text)
-        PERF.count("shard.dirty_nodes_replanned", len(scope))
+        PERF.count("incremental.dirty_nodes_replanned", len(scope))
 
         data_values = self._refresh_data_values(state, scope)
         plan = self.planner.plan(

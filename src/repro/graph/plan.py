@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..addressing import DATA, MANAGED, ResourceAddress
 from ..lang.values import Unknown, collect_unknown_origins, is_unknown, values_equal
@@ -92,78 +92,19 @@ class ValueResolver:
         #: addresses whose state values must NOT be used (planned for
         #: replacement -- their computed attrs change at apply)
         self.pending: set = set()
-        #: opt-in declaration-level resolve cache (see enable_decl_cache)
-        self._decl_cache: Optional[Dict[Tuple, Any]] = None
-        self._decl_of: Dict[str, Tuple] = {}
-
-    def enable_decl_cache(self) -> None:
-        """Memoize per-declaration resolve shapes and values.
-
-        ``resolve()`` normally re-sorts a declaration's instances and
-        re-assembles the container on *every* reference evaluation --
-        O(instances) per evaluated attribute, the dominant apply-time
-        cost at estate scale. With the cache on, the container shape is
-        computed once and the per-instance values are rebuilt only when
-        an instance of that declaration commits (``set_override``) --
-        between commits a resolve is a shallow container copy. The copy
-        keeps aliasing behaviour identical to the uncached path (each
-        call returns a fresh container; per-instance dicts are shared
-        either way). Off by default; the sharded executor turns it on.
-        """
-        if self._decl_cache is None:
-            self._decl_cache = {}
-            self._decl_of = {
-                nid: (
-                    node.address.module_path,
-                    node.address.mode,
-                    node.address.type,
-                    node.address.name,
-                )
-                for nid, node in self.graph.nodes.items()
-            }
-
-    def _invalidate(self, address: str) -> None:
-        cache = self._decl_cache
-        if cache is not None:
-            key = self._decl_of.get(address)
-            if key is not None:
-                entry = cache.get(key)
-                if entry is not None:
-                    entry[2] = None  # drop values, keep shape
 
     def set_override(self, address: str, attrs: Dict[str, Any]) -> None:
         self.overrides[address] = dict(attrs)
         self.pending.discard(address)
-        if self._decl_cache is not None:
-            self._invalidate(address)
 
     def drop_override(self, address: str) -> None:
         self.overrides.pop(address, None)
-        if self._decl_cache is not None:
-            self._invalidate(address)
 
     def mark_pending(self, address: str) -> None:
         self.pending.add(address)
-        if self._decl_cache is not None:
-            self._invalidate(address)
 
     def resolve(self, module_path, mode, rtype, name, span=None):
         decl_key = (tuple(module_path), mode, rtype, name)
-        cache = self._decl_cache
-        if cache is not None:
-            entry = cache.get(decl_key)
-            if entry is not None:
-                kind, ordered, values = entry
-                if values is None:
-                    values = [self._value_for(n) for n in ordered]
-                    entry[2] = values
-                if kind == "single":
-                    return values[0]
-                if kind == "list":
-                    return list(values)
-                return {
-                    str(n.instance_key): v for n, v in zip(ordered, values)
-                }
         ids = self.graph.decl_instances.get(decl_key)
         prefix = "data." if mode == DATA else ""
         mods = "".join(f"module.{m}." for m in module_path)
@@ -173,16 +114,10 @@ class ValueResolver:
         nodes = [self.graph.nodes[i] for i in ids]
         keys = [n.instance_key for n in nodes]
         if keys == [None]:
-            if cache is not None:
-                cache[decl_key] = ["single", nodes, None]
             return self._value_for(nodes[0])
         if all(isinstance(k, int) for k in keys):
             ordered = sorted(nodes, key=lambda n: n.instance_key)
-            if cache is not None:
-                cache[decl_key] = ["list", ordered, None]
             return [self._value_for(n) for n in ordered]
-        if cache is not None:
-            cache[decl_key] = ["map", nodes, None]
         return {str(n.instance_key): self._value_for(n) for n in nodes}
 
     def _value_for(self, node: ResourceNode) -> Any:

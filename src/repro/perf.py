@@ -28,6 +28,11 @@ KNOWN_PROBES: Dict[str, str] = {
     "persist.compactions": "count: journal foldings into a keyframe",
     "persist.torn_tail_recoveries": "count: torn journal tails truncated",
     "persist.keyframe_fallbacks": "count: keyframe reads served by .bak",
+    # -- incremental re-planning ------------------------------------------
+    "incremental.dirty_nodes_replanned": (
+        "count: instances in the impact scope an IncrementalSession "
+        "patch re-plans"
+    ),
     # -- multi-tenant service tier (PR 10) --------------------------------
     "service.admitted": "count: requests accepted past the admission tier",
     "service.shed": "count: requests rejected with a typed shed",

@@ -179,9 +179,14 @@ def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
             f"unsupported world format {data.get('format')!r} "
             f"(expected one of {SUPPORTED_FORMATS})"
         )
+    executor = data.get("executor", "critical-path")
+    if executor == "sharded":
+        # worlds applied with the removed sharded executor: its
+        # interleaved mode made critical-path's scheduling decisions
+        executor = "critical-path"
     engine = CloudlessEngine(
         seed=data.get("seed", 0),
-        executor=data.get("executor", "critical-path"),
+        executor=executor,
         validation_level=data.get("validation_level", "rules"),
     )
     engine.clock.advance_to(data.get("clock", 0.0))

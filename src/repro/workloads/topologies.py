@@ -9,7 +9,7 @@ mutate, and diff them freely.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 def web_tier(
@@ -405,34 +405,22 @@ def scale_estate_sharded(
     regions_per_provider: int = 2,
     services_per_vpc: int = 32,
     cross_link_every: int = 0,
-    provider_weights: Optional[List[float]] = None,
-    cross_links: Optional[List[tuple]] = None,
 ) -> str:
-    """A multi-provider, multi-region estate for sharding benchmarks.
+    """A multi-provider, multi-region estate for multi-plane benchmarks.
 
     Service stacks (subnet + 2 nics + 2 vms + lb + dns, plus one VPC
     per group) are split evenly across ``providers`` synthetic planes
     (``syn0`` ... -- build the gateway with
     ``CloudGateway.simulated(synthetic=providers)``) and striped
     round-robin over each plane's ``regions_per_provider`` regions via
-    ``location``, so the plan DAG partitions into ``providers x
-    regions_per_provider`` shards.
+    ``location``, so the plan spans ``providers x regions_per_provider``
+    ``(provider, region)`` partitions.
 
     ``cross_link_every=k`` makes every k-th service on provider ``p>0``
     tag its dns record with the dns_name of the matching load balancer
-    on provider ``p-1``: a tunable density of cross-shard dependency
+    on provider ``p-1``: a tunable density of cross-partition dependency
     edges, flowing only from lower to higher provider index so
-    plane-group scheduling stays acyclic.
-
-    ``provider_weights`` skews how many services each provider hosts
-    (proportional split instead of even), and ``cross_links`` replaces
-    the default chain with explicit ``(downstream, upstream)`` provider
-    pairs (``upstream < downstream`` keeps the group DAG acyclic).
-    Together they shape the provider dependency graph into a *partial*
-    order with uneven unit sizes -- the workload where ready-frontier
-    (overlapped) pool scheduling beats barrier waves, since a barrier
-    holds every next-wave unit hostage to the slowest current-wave
-    unit even when its own upstream finished long ago.
+    the provider dependency graph stays acyclic.
     """
     vms = 2
     per_service = 3 + 2 * vms
@@ -442,27 +430,9 @@ def scale_estate_sharded(
         // (per_service * services_per_vpc + 1),
     )
     parts: List[str] = []
-    if provider_weights is not None:
-        if len(provider_weights) != providers:
-            raise ValueError("provider_weights must have one entry per provider")
-        total = float(sum(provider_weights))
-        per_provider = [
-            max(1, int(services * w / total)) for w in provider_weights
-        ]
-    else:
-        per_provider = [services // providers] * providers
-        for i in range(services % providers):
-            per_provider[i] += 1
-    link_of: Dict[int, int] = {}
-    link_stride = cross_link_every
-    if cross_links is not None:
-        for down, up in cross_links:
-            if not 0 <= up < down < providers:
-                raise ValueError(f"cross link {down}<-{up} must flow upward")
-            link_of[down] = up
-        link_stride = cross_link_every or 1
-    elif cross_link_every:
-        link_of = {p: p - 1 for p in range(1, providers)}
+    per_provider = [services // providers] * providers
+    for i in range(services % providers):
+        per_provider[i] += 1
     for p in range(providers):
         prov = f"syn{p}"
         prefix = f"{name}_p{p}"
@@ -480,8 +450,8 @@ resource "{prov}_vpc" "{prefix}_g{g}" {{
 '''
                 )
             cross = ""
-            if p in link_of and link_stride and i % link_stride == 0:
-                up_p = link_of[p]
+            if p > 0 and cross_link_every and i % cross_link_every == 0:
+                up_p = p - 1
                 upstream = i % per_provider[up_p]
                 cross = (
                     f'\n  upstream = syn{up_p}_load_balancer.'

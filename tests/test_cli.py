@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 PROGRAM = """
 variable "vm_count" {
@@ -220,3 +220,9 @@ class TestCliExtras:
         # the validation pipeline reports it with the offending line
         out = capsys.readouterr().out
         assert "guard too small" in out and "main.clc" in out
+
+    def test_apply_rejects_removed_shard_flags(self, capsys):
+        for flags in (["--shards", "4"], ["--shard-workers", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["apply", *flags])
+        assert "unrecognized arguments" in capsys.readouterr().err

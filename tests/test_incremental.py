@@ -1,14 +1,24 @@
-"""Incremental update pipeline and impact analysis (E2 machinery)."""
+"""Incremental update pipeline, impact analysis and incremental
+re-planning sessions (E2 machinery)."""
+
+import re
 
 import pytest
 
+from repro import perf
 from repro.cloud import CloudGateway
-from repro.deploy import CriticalPathExecutor, UpdatePipeline, refresh_state
+from repro.deploy import (
+    CriticalPathExecutor,
+    IncrementalSession,
+    UpdatePipeline,
+    refresh_state,
+)
 from repro.deploy.incremental import read_data_sources
 from repro.graph import ImpactAnalyzer, Planner, build_graph, diff_configurations
+from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument
-from repro.workloads import microservices
+from repro.workloads import microservices, scale_estate
 
 
 def deploy(gateway, source):
@@ -183,3 +193,174 @@ class TestUpdatePipeline:
             if c.action.value not in ("noop", "read")
         }
         assert full_actions == scoped_actions
+
+
+# -- incremental re-planning sessions -----------------------------------------
+
+
+def make_plan(source, seed=0):
+    clear_analysis_cache()
+    gateway = CloudGateway.simulated(seed=seed)
+    graph = build_graph(Configuration.parse(source))
+    planner = Planner(
+        spec_lookup=gateway.try_spec,
+        region_lookup=gateway.region_for,
+        provider_lookup=gateway.provider_of,
+    )
+    state = StateDocument()
+    data = read_data_sources(gateway, graph, state)
+    return gateway, planner.plan(graph, state, data_values=data)
+
+
+def _decl_block(source, rtype, name):
+    """Extract one resource block from generated source text."""
+    pattern = re.compile(
+        r'resource "%s" "%s" \{.*?\n\}' % (re.escape(rtype), re.escape(name)),
+        re.S,
+    )
+    match = pattern.search(source)
+    assert match, f"{rtype}.{name} not in source"
+    return match.group(0)
+
+
+class TestIncrementalSession:
+    def converge(self, source, seed=21):
+        gateway, plan = make_plan(source, seed=seed)
+        result = CriticalPathExecutor(gateway).apply(plan)
+        assert result.ok
+        return gateway, result.state
+
+    def test_noop_patch_plans_nothing(self):
+        source = scale_estate(70)
+        gateway, state = self.converge(source)
+        session = IncrementalSession(gateway, source=source)
+        patch = _decl_block(source, "aws_vpc", "scale_g0")
+        result = session.replan(patch, state)
+        assert result.mode == "incremental"
+        assert result.dirty == []
+        assert result.scope == set()
+        assert not result.plan.actionable()
+
+    def test_attr_edit_replans_impact_scope_only(self):
+        source = scale_estate(70)
+        gateway, state = self.converge(source)
+        session = IncrementalSession(gateway, source=source)
+        block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
+        patch = block.replace('service = "scale-3"', 'service = "scale-3b"')
+        assert patch != block
+        result = session.replan(patch, state)
+        assert result.mode == "incremental"
+        assert result.dirty == [("managed", "aws_virtual_machine", "scale_3_vm")]
+        assert result.scope is not None
+        assert 0 < result.scope_size < len(session.graph.dag.nodes)
+        actions = {
+            c.id: c.action.name
+            for c in result.plan.actionable()
+        }
+        assert actions and all(
+            "scale_3" in cid or "scale-3" in cid for cid in actions
+        )
+
+    def test_incremental_plan_matches_full_pipeline(self):
+        source = scale_estate(70)
+        gateway, state = self.converge(source)
+        block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
+        edited_block = block.replace(
+            'service = "scale-3"', 'service = "scale-3b"'
+        )
+        session = IncrementalSession(gateway, source=source)
+        inc = session.replan(edited_block, state)
+
+        full_source = source.replace(block, edited_block)
+        graph = build_graph(Configuration.parse(full_source))
+        planner = session.planner
+        data = read_data_sources(gateway, graph, state)
+        full = planner.plan(graph, state.copy(), data_values=data)
+
+        def plan_signature(plan):
+            return sorted(
+                (c.id, c.action.name, sorted(d.name for d in c.diffs))
+                for c in plan.actionable()
+            )
+
+        assert plan_signature(inc.plan) == plan_signature(full)
+
+    def test_add_and_remove_decls(self):
+        source = scale_estate(70)
+        gateway, state = self.converge(source)
+        session = IncrementalSession(gateway, source=source)
+        patch = """
+resource "aws_dns_record" "extra" {
+  name  = "extra"
+  zone  = "scale.example.com"
+  value = aws_load_balancer.scale_2_lb.dns_name
+  ttl   = 60
+}
+"""
+        result = session.replan(patch, state)
+        assert result.mode == "incremental"
+        creates = [
+            c for c in result.plan.actionable()
+            if c.action.name == "CREATE"
+        ]
+        assert [c.id for c in creates] == ["aws_dns_record.extra"]
+
+        removal = session.replan(
+            "",
+            state,
+            remove=(
+                "aws_dns_record.scale_4_dns",
+                "aws_load_balancer.scale_4_lb",
+            ),
+        )
+        assert removal.mode == "incremental"
+        deletes = sorted(
+            c.id
+            for c in removal.plan.actionable()
+            if c.action.name == "DELETE"
+        )
+        assert deletes == [
+            "aws_dns_record.scale_4_dns",
+            "aws_load_balancer.scale_4_lb",
+        ]
+
+    def test_unsupported_patch_falls_back_to_rebuild(self):
+        source = scale_estate(70)
+        gateway, state = self.converge(source)
+        session = IncrementalSession(gateway, source=source)
+        patch = """
+locals {
+  extra_tag = "x"
+}
+"""
+        result = session.replan(patch, state)
+        assert result.mode == "rebuild"
+        assert session.rebuilds == 1
+        # the session still plans correctly after the rebuild
+        follow_up = session.replan(
+            _decl_block(source, "aws_vpc", "scale_g0"), state
+        )
+        assert follow_up.mode == "incremental"
+
+    def test_incremental_replan_counts_dirty_nodes(self):
+        perf.PERF.enable()
+        perf.PERF.reset()
+        try:
+            source = scale_estate(70)
+            clear_analysis_cache()
+            gateway = CloudGateway.simulated(seed=21)
+            session = IncrementalSession(gateway, source=source)
+            state = StateDocument()
+            block = _decl_block(source, "aws_virtual_machine", "scale_3_vm")
+            patch = block.replace(
+                'service = "scale-3"', 'service = "scale-3b"'
+            )
+            result = session.replan(patch, state)
+            counters = perf.PERF.snapshot()["counters"]
+            assert (
+                counters["incremental.dirty_nodes_replanned"]
+                == result.scope_size
+            )
+        finally:
+            perf.PERF.reset()
+            perf.PERF.disable()

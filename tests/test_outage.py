@@ -34,6 +34,7 @@ from repro.cloud.resilience import (
     GATE_WAIT,
 )
 from repro.core import CloudlessEngine
+from repro.deploy import CriticalPathExecutor
 from repro.workloads import two_region_estate, web_tier
 
 OUTAGE = OutageSpec(start_s=0.0, end_s=50000.0, region="westus2")
@@ -352,6 +353,23 @@ class TestDegradedApply:
         assert len(result.apply.quarantined) == 21
         for quarantine in result.apply.quarantined.values():
             assert quarantine.partition == "azure/westus2"
+
+    def test_dark_region_stalls_only_its_partition(self):
+        engine = CloudlessEngine(seed=13)
+        plan = engine.plan(two_region_estate(42))
+        engine.gateway.inject_outage("azure", OUTAGE)
+        result = CriticalPathExecutor(
+            engine.gateway, health=HealthMonitor(policy=BreakerPolicy())
+        ).apply(plan)
+        assert result.partial and not result.ok
+        assert result.quarantined
+        for quarantine in result.quarantined.values():
+            assert quarantine.partition == "azure/westus2"
+        # the plain executor parks the dark partition and nothing else
+        assert result.failed == {} and result.skipped == []
+        assert sorted(result.succeeded) == sorted(
+            set(plan.execution_dag().nodes) - set(result.quarantined)
+        )
 
     def test_no_retry_storm_into_dark_region(self, tmp_path):
         engine = make_engine(tmp_path)

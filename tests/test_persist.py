@@ -1,5 +1,7 @@
 """World persistence round trips."""
 
+import json
+
 import pytest
 
 from repro.core import CloudlessEngine
@@ -110,3 +112,21 @@ class TestRoundTrip:
         once = engine_to_dict(engine)
         twice = engine_to_dict(engine_from_dict(once))
         assert once == twice
+
+    def test_sharded_world_applies_as_critical_path(self, tmp_path):
+        # the removed sharded executor's interleaved mode made
+        # critical-path's scheduling decisions; worlds that stored it
+        # reload onto critical-path and apply identically
+        source = web_tier(web_vms=2, app_vms=1)
+        data = engine_to_dict(CloudlessEngine(seed=19))
+        data["executor"] = "sharded"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        restored = load_world(str(path))
+        assert restored.executor_name == "critical-path"
+        result = restored.apply(source)
+        base = CloudlessEngine(seed=19)
+        base_result = base.apply(source)
+        assert result.ok and base_result.ok
+        assert result.apply.makespan_s == base_result.apply.makespan_s
+        assert restored.state.to_json() == base.state.to_json()
