@@ -1,6 +1,6 @@
 """P8 `coldstart` -- streaming parse and the compiled-artifact cache.
 
-Two claims, each gated:
+Three claims, each gated:
 
 * **Warm re-run is O(changed)**: planning an unchanged estate through
   the persistent compiled-artifact cache (``repro.compilecache``) must
@@ -12,6 +12,13 @@ Two claims, each gated:
   records its peak RSS (``ru_maxrss``); the streaming parse keeps the
   largest tier (``--rss-size``, default 1M resources) within
   ``--max-rss-gb`` when that gate is armed.
+* **The lexer is fast and exact**: at every size the master-regex
+  lexer and the frozen reference lexer (``tests/golden``) lex the same
+  chunked corpus in the same run, interleaved, best of five rounds
+  of at least 1 MB each. The token streams
+  must be identical, and the new lexer's throughput at least
+  ``MIN_LEX_SPEEDUP`` (2x) the reference's. The cold plan's
+  render sha stays gated against the warm one, as above.
 
 CI runs the smoke tier::
 
@@ -35,9 +42,9 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(1, _ROOT)  # the reference lexer lives under tests/golden
 
 from repro.cloud import CloudGateway
 from repro.core.engine import (
@@ -53,9 +60,11 @@ from repro.compilecache import (
 from repro.deploy.incremental import read_data_sources
 from repro.graph import Planner, build_graph
 from repro.graph.critical_path import clear_analysis_cache
-from repro.lang import Configuration
+from repro.lang import Configuration, Lexer
+from repro.lang.chunker import iter_chunks
 from repro.state import StateDocument
 from repro.workloads import scale_estate_sharded
+from tests.golden.reference_lexer import Lexer as ReferenceLexer
 
 
 def plan_sha(plan) -> str:
@@ -177,6 +186,58 @@ def run_warm_tier(
     }
 
 
+# -- lexer arm (in-process: both lexers on the same corpus, same run) -------
+
+
+#: each timing round lexes the tier's corpus as many times as it takes
+#: to cover this many bytes, so small CI tiers still time a window long
+#: enough to rise above scheduler noise; each lexer keeps its best round
+LEX_ROUND_BYTES = 1 << 20
+LEX_ROUNDS = 5
+#: the lexer gate: new-lexer throughput over the reference's
+MIN_LEX_SPEEDUP = 2.0
+
+
+def run_lexer_arm(size: int, providers: int) -> Dict[str, Any]:
+    """Lex the tier's chunks with both lexers, interleaved; keep each
+    lexer's best round and check the token streams are identical."""
+    source = scale_estate_sharded(
+        size, providers=providers, cross_link_every=5
+    )
+    chunks = [(c.text, c.start_line) for c in iter_chunks(source)]
+    passes = max(1, -(-LEX_ROUND_BYTES // len(source)))
+
+    def lex(cls) -> float:
+        # like the streaming parse, keep one chunk's tokens at a time
+        t0 = time.perf_counter()
+        for _ in range(passes):
+            for text, line in chunks:
+                cls(text, "main.clc", start_line=line).tokens()
+        return (time.perf_counter() - t0) / passes
+
+    best = {Lexer: float("inf"), ReferenceLexer: float("inf")}
+    for _ in range(LEX_ROUNDS):
+        for cls in best:
+            best[cls] = min(best[cls], lex(cls))
+    tokens = identical = 0
+    for text, line in chunks:
+        stream = Lexer(text, "main.clc", start_line=line).tokens()
+        tokens += len(stream)
+        identical += stream == ReferenceLexer(
+            text, "main.clc", start_line=line
+        ).tokens()
+    new_s, ref_s = best[Lexer], best[ReferenceLexer]
+    return {
+        "lex_bytes": len(source),
+        "lex_passes": passes,
+        "lex_tokens": tokens,
+        "lex_new_s": round(new_s, 4),
+        "lex_ref_s": round(ref_s, 4),
+        "lex_speedup": round(ref_s / max(new_s, 1e-9), 2),
+        "lex_identical": identical == len(chunks),
+    }
+
+
 # -- driver ------------------------------------------------------------------
 
 
@@ -189,7 +250,8 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
         with tempfile.TemporaryDirectory(prefix="clc-cache-") as cache_dir:
             cold = run_cold_tier(size, args.providers, args.seed, cache_dir)
             warm = run_warm_tier(size, args.providers, args.seed, cache_dir)
-        tier = {"size": size, **cold, **warm}
+        lex = run_lexer_arm(size, args.providers)
+        tier = {"size": size, **cold, **warm, **lex}
         tier["warm_frac"] = round(
             warm["warm_s"] / max(cold["cold_total_s"], 1e-9), 4
         )
@@ -200,6 +262,13 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
             failures.append(
                 f"{size}: warm plan missed the cache "
                 f"(exact={warm['exact_hits']} misses={warm['misses']})"
+            )
+        if not lex["lex_identical"]:
+            failures.append(f"{size}: lexer token stream differs from reference")
+        if lex["lex_speedup"] < MIN_LEX_SPEEDUP:
+            failures.append(
+                f"{size}: lexer {lex['lex_speedup']:.2f}x the reference "
+                f"< gate {MIN_LEX_SPEEDUP:.1f}x"
             )
         if (
             size >= args.warm_gate_min_size
@@ -213,7 +282,9 @@ def bench(args: argparse.Namespace) -> Dict[str, Any]:
             f"size={size}: cold={cold['cold_total_s']:.2f}s "
             f"(parse={cold['parse_s']:.2f} build={cold['build_s']:.2f} "
             f"plan={cold['plan_s']:.2f}) warm={warm['warm_s']:.3f}s "
-            f"({tier['warm_frac']:.1%}) rss={cold['peak_rss_kb'] // 1024}MB",
+            f"({tier['warm_frac']:.1%}) rss={cold['peak_rss_kb'] // 1024}MB "
+            f"lex={lex['lex_new_s']:.3f}s vs reference "
+            f"{lex['lex_ref_s']:.3f}s ({lex['lex_speedup']:.1f}x)",
             file=sys.stderr,
         )
 

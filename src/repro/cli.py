@@ -53,9 +53,7 @@ def _load_engine(args) -> CloudlessEngine:
 
 
 def _save_engine(args, engine: CloudlessEngine) -> None:
-    # the cache context pins the whole compiled graph; never let it
-    # (or the cache handle's counters) ride along in the world pickle
-    engine._cache_ctx = None
+    # the cache handle (and its counters) does not belong to the world
     engine.compile_cache = None
     save_world(engine, _world_path(args))
 
@@ -66,7 +64,6 @@ def _attach_cache(args, engine: CloudlessEngine) -> None:
     Worlds persisted by earlier versions predate ``compile_cache``;
     set the attributes unconditionally rather than trusting the
     pickle. ``--no-cache`` forces every compile cold."""
-    engine._cache_ctx = None
     if getattr(args, "no_cache", False):
         engine.compile_cache = None
         return
@@ -152,13 +149,13 @@ def cmd_validate(args) -> int:
 def cmd_plan(args) -> int:
     engine = _load_engine(args)
     _attach_cache(args, engine)
-    sources = _read_sources(args)
-    report = engine.validate(sources, variables=_parse_vars(args.var))
+    # one parse and one graph serve both validation and the plan
+    compiled = engine.compile(_read_sources(args), _parse_vars(args.var))
+    report = engine.validate(compiled)
     if not report.ok:
         print(report)
         return 1
-    plan = engine.plan(sources, variables=_parse_vars(args.var))
-    print(plan.render())
+    print(engine.plan(compiled).render())
     return 0
 
 

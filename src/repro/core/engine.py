@@ -52,7 +52,7 @@ EXECUTORS = {
     "critical-path": CriticalPathExecutor,
 }
 
-Sources = Union[str, Dict[str, str], Configuration]
+Sources = Union[str, Dict[str, str], Configuration, "Compilation"]
 
 
 def _fingerprint_json(blob: str) -> str:
@@ -81,14 +81,20 @@ class EngineError(RuntimeError):
 
 
 @dataclasses.dataclass
-class _CacheContext:
-    """Ties a coerced Configuration back to its artifact lookup."""
+class Compilation:
+    """One command's sources, compiled once for validate(), plan() and
+    apply() to share. ``config`` is None when the sources do not lex or
+    parse; ``syntax`` then holds the pipeline's SYNTAX report. ``graph``
+    is built on first use, by the rule stage or the plan."""
 
-    config: Configuration
+    config: Optional[Configuration]
     texts: Dict[str, str]
-    variables_fp: str
-    schema_fp: str
-    lookup: Optional[Any]  # compilecache.CacheLookup, None on miss
+    variables: Dict[str, Any]
+    syntax: Optional[ValidationReport] = None
+    lookup: Optional[Any] = None  # compilecache.CacheLookup
+    #: (variables, schema) fingerprints when the cache was consulted
+    keys: Optional[tuple] = None
+    graph: Optional[ResourceGraph] = None
 
 
 class _LazyConfiguration(Configuration):
@@ -266,10 +272,6 @@ class CloudlessEngine:
             from ..compilecache import CompileCache
 
             self.compile_cache = CompileCache(cache_dir)
-        # cache context for the most recent _coerce_sources call, so
-        # plan() can tell whether the Configuration it received came
-        # from an exact artifact hit (graph reusable) or a fresh parse
-        self._cache_ctx: Optional[_CacheContext] = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -277,44 +279,64 @@ class CloudlessEngine:
     def clock(self):
         return self.gateway.clock
 
-    def _coerce_sources(
+    def compile(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
-    ) -> tuple:
+    ) -> Compilation:
+        """Compile ``sources`` once for one command: pass the result to
+        validate(), plan() and apply() so they share one parse and one
+        graph."""
+        from ..lang.diagnostics import CLCError
+
+        if isinstance(sources, Compilation):
+            return sources
+        variables = dict(variables or {})
         if isinstance(sources, Configuration):
-            if isinstance(sources, _LazyConfiguration):
-                # do not touch attributes: listing files would
-                # materialize the payload the lazy hit is avoiding
-                return sources, {}
-            return sources, {
-                f.filename: "" for f in sources.files
-            }  # originals unavailable
+            # originals unavailable; and listing a lazy hit's files
+            # would materialize the payload it is avoiding
+            lazy = isinstance(sources, _LazyConfiguration)
+            texts = {} if lazy else {f.filename: "" for f in sources.files}
+            return Compilation(sources, texts, variables)
         if isinstance(sources, str):
             sources = {"main.clc": sources}
-        texts = dict(sources)
+        compiled = Compilation(None, dict(sources), variables)
+        try:
+            compiled.config = self._parse(compiled)
+        except CLCError as exc:
+            compiled.syntax = self.validation.syntax_report(exc)
+        return compiled
+
+    def _parse(self, compiled: Compilation) -> Configuration:
         cache = self.compile_cache
         if cache is None:
-            return Configuration.parse_streaming(texts), texts
+            return Configuration.parse_streaming(compiled.texts)
         from ..compilecache import schema_fingerprint, variables_fingerprint
 
-        vfp = variables_fingerprint(variables)
-        sfp = schema_fingerprint(self.gateway)
-        lookup = cache.load(texts, vfp, sfp)
+        compiled.keys = (
+            variables_fingerprint(compiled.variables),
+            schema_fingerprint(self.gateway),
+        )
+        lookup = compiled.lookup = cache.load(compiled.texts, *compiled.keys)
         if lookup is not None and lookup.exact:
             # serve a lazy facade: if the plan fingerprints also match,
             # the whole warm run finishes without unpickling the
             # artifact's object web (O(changed), not O(estate))
-            config = _LazyConfiguration(lookup)
-        else:
-            # partial hit: unchanged chunks skip lex+parse via the
-            # artifact's resident chunk-AST table
-            config = Configuration.parse_streaming(
-                texts, reuse=lookup.config if lookup is not None else None
-            )
-        self._cache_ctx = _CacheContext(
-            config=config, texts=texts, variables_fp=vfp, schema_fp=sfp,
-            lookup=lookup,
+            return _LazyConfiguration(lookup)
+        # partial hit: unchanged chunks skip lex+parse via the
+        # artifact's resident chunk-AST table
+        return Configuration.parse_streaming(
+            compiled.texts, reuse=lookup.config if lookup is not None else None
         )
-        return config, texts
+
+    def _graph(self, compiled: Compilation) -> ResourceGraph:
+        """The compile's expanded graph, built at most once; an exact
+        artifact hit replays the journaled one."""
+        if compiled.graph is None and compiled.lookup and compiled.lookup.exact:
+            compiled.graph = compiled.lookup.graph
+        elif compiled.graph is None:
+            compiled.graph = build_graph(
+                compiled.config, variables=compiled.variables, loader=self.loader
+            )
+        return compiled.graph
 
     def _executor(self) -> PlanExecutor:
         cls = EXECUTORS.get(self.executor_name)
@@ -334,9 +356,11 @@ class CloudlessEngine:
     def validate(
         self, sources: Sources, variables: Optional[Dict[str, Any]] = None
     ) -> ValidationReport:
-        config, _ = self._coerce_sources(sources, variables)
+        compiled = self.compile(sources, variables)
+        if compiled.syntax is not None:
+            return compiled.syntax
         return self.validation.validate(
-            config, variables=variables, loader=self.loader
+            compiled.config, graph=lambda: self._graph(compiled)
         )
 
     def plan(
@@ -348,11 +372,10 @@ class CloudlessEngine:
         from ..graph.builder import GraphBuildError
         from ..lang.diagnostics import CLCError
 
-        config, _ = self._coerce_sources(sources, variables)
-        ctx = self._cache_ctx
-        if ctx is None or ctx.config is not config:
-            ctx = None
-        lookup = ctx.lookup if ctx is not None else None
+        compiled = self.compile(sources, variables)
+        if compiled.syntax is not None:
+            raise EngineError(compiled.syntax.errors[0].message)
+        lookup = compiled.lookup
         exact = lookup is not None and lookup.exact
         working = (state if state is not None else self.state).copy()
         if exact:
@@ -369,17 +392,15 @@ class CloudlessEngine:
                 and lookup.plan_data_fp == _EMPTY_DATA_FP
             ):
                 return _LazyArtifactPlan(lookup)
-            # exact artifact hit: the expanded graph replays as-is
-            graph = lookup.graph
-        else:
-            try:
-                graph = build_graph(
-                    config, variables=variables, loader=self.loader
-                )
-            except (GraphBuildError, CLCError) as exc:
-                raise EngineError(str(exc))
+        try:
+            graph = self._graph(compiled)
+        except (GraphBuildError, CLCError) as exc:
+            raise EngineError(str(exc))
+        # the plan binds the graph to its state: a later plan of the
+        # same compile expands afresh
+        compiled.graph = None
         data_values = read_data_sources(self.resilient, graph, working)
-        if ctx is None:
+        if compiled.keys is None or self.compile_cache is None:
             return self.planner.plan(graph, working, data_values=data_values)
         state_fp = _fingerprint_json(working.to_json())
         data_fp = _fingerprint_data(data_values)
@@ -391,12 +412,10 @@ class CloudlessEngine:
         ):
             return lookup.plan
         plan = self.planner.plan(graph, working, data_values=data_values)
-        assert self.compile_cache is not None
         self.compile_cache.store(
-            ctx.texts,
-            ctx.variables_fp,
-            ctx.schema_fp,
-            lookup.config if exact else config,
+            compiled.texts,
+            *compiled.keys,
+            lookup.config if exact else compiled.config,
             graph,
             plan=plan,
             plan_state_fp=state_fp,
@@ -414,12 +433,10 @@ class CloudlessEngine:
         crash_hook: Optional[Any] = None,
         _journal: Optional[IntentJournal] = None,
     ) -> EngineApplyResult:
-        config, source_texts = self._coerce_sources(sources, variables)
+        compiled = self.compile(sources, variables)
         validation: Optional[ValidationReport] = None
         if validate_first:
-            validation = self.validation.validate(
-                config, variables=variables, loader=self.loader
-            )
+            validation = self.validate(compiled)
             if not validation.ok:
                 return EngineApplyResult(
                     validation=validation,
@@ -428,7 +445,7 @@ class CloudlessEngine:
                     apply=None,
                     diagnoses=[],
                 )
-        plan = self.plan(config, variables=variables)
+        plan = self.plan(compiled)
         admission: Optional[AdmissionDecision] = None
         if admit:
             admission = self.controller.admit(
@@ -465,8 +482,8 @@ class CloudlessEngine:
         assert result.state is not None
         self.state = result.state
         self._store_outputs(plan, result)
-        self.last_sources = source_texts
-        self.last_variables = dict(variables or {})
+        self.last_sources = compiled.texts
+        self.last_variables = dict(compiled.variables)
         diagnoses = (
             self.debugger.diagnose_apply(plan, result) if result.failed else []
         )
@@ -474,7 +491,7 @@ class CloudlessEngine:
         if checkpoint and result.ok:
             snap = self.history.checkpoint(
                 self.state,
-                source_texts,
+                compiled.texts,
                 timestamp=self.clock.now,
                 description=f"apply ({plan.summary()})",
             )

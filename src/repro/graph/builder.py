@@ -9,8 +9,9 @@ resource instances it ultimately depends on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..addressing import DATA, MANAGED, InstanceKey, ResourceAddress
 from ..lang.config import Configuration, ModuleCall, ResourceDecl
@@ -109,6 +110,27 @@ class ResourceGraph:
 
     def node(self, node_id: str) -> ResourceNode:
         return self.nodes[node_id]
+
+    @contextlib.contextmanager
+    def unbound(self) -> Iterator[None]:
+        """Evaluate inside the block as on a freshly built graph: resource
+        references read as Unknown even if a plan bound this graph to its
+        state, and locals memoized meanwhile are forgotten on exit."""
+        slot = self.binding_resolver
+        bound = slot.target if isinstance(slot, DeferredResolver) else None
+        if bound is not None:
+            slot.target = None
+        tree = [self.root_context]
+        for ctx in tree:  # the list grows as the walk goes
+            tree.extend(ctx._children.values())
+        memos = [(ctx._locals, dict(ctx._locals._cache)) for ctx in tree]
+        try:
+            yield
+        finally:
+            if bound is not None:
+                slot.target = bound
+            for memo, cache in memos:
+                memo._cache = cache
 
     def managed_ids(self) -> List[str]:
         return sorted(

@@ -4,273 +4,257 @@ The token stream feeds :mod:`repro.lang.parser`. Quoted strings that
 contain ``${...}`` interpolations are emitted as ``TEMPLATE`` tokens
 whose value is a list of ``("lit", text)`` / ``("expr", source, span)``
 parts; the parser re-lexes the expression sources recursively.
+
+One compiled master pattern (a named-group alternation, the stdlib
+``tokenize`` idiom) matches each token with the blanks before it,
+whole block comments and plain strings included. Strings with escapes
+or ``${}``, and heredocs, go to small sub-scanners. Lines and columns
+come from newline offsets, never from a per-character walk.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from .diagnostics import CLCSyntaxError, SourceSpan
-from .tokens import KEYWORD_LITERALS, OPERATORS, Token, TokenType
+from .tokens import OPERATORS, Token, TokenType
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
 
-#: operator literals bucketed by length, longest first, so matching is a
-#: constant number of short-slice dict probes instead of a linear scan
-#: over ``OPERATORS`` against an O(remaining-source) slice per token.
-_OPS_BY_LEN: List[Tuple[int, Dict[str, TokenType]]] = []
-for _lit, _ttype in OPERATORS:
-    for _n, _bucket in _OPS_BY_LEN:
-        if _n == len(_lit):
-            _bucket[_lit] = _ttype
-            break
-    else:
-        _OPS_BY_LEN.append((len(_lit), {_lit: _ttype}))
-_OPS_BY_LEN.sort(key=lambda pair: -pair[0])
+def _op_alternation() -> str:
+    """The ``op`` group from OPERATORS: longest first, one-character
+    operators as a class; ``/`` and ``<`` must not open a comment or a
+    heredoc, so they are the only ones written out here."""
+    ops = sorted((op for op, _ in OPERATORS), key=len, reverse=True)
+    chars = "".join(re.escape(o) for o in ops if len(o) == 1 and o not in "/<")
+    longer = [re.escape(o) for o in ops if len(o) > 1]
+    return "|".join(longer + [f"[{chars}]", "/(?![/*])", "<(?!<)"])
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_SPACE_RE = re.compile(r"[ \t\r]+")
 
-_ESCAPES = {
-    "n": "\n",
-    "t": "\t",
-    "r": "\r",
-    "f": "\f",
-    "b": "\b",
-    '"': '"',
-    "\\": "\\",
-    "$": "$",
-}
+_MASTER = re.compile(
+    r"""[ \t\r]*(?:
+     (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<op>%s)
+    |(?P<nl>\n[ \t\r\n]*)
+    |(?P<str>"[^"\\\n$]*")
+    |(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)*)
+    |(?P<comment>(?:\#|//)[^\n]*)
+    |(?P<block>/\*(?s:.*?)\*/)
+    |(?P<open>/\*|<<|")
+    |(?P<bad>[^ \t\r]))"""
+    % _op_alternation(),
+    re.VERBOSE,
+)
+_LITERAL_RUN = re.compile(r'[^"\\\n$]+')
+_INTERP_STOP = re.compile(r'["{}\\]')
+_MARKER = re.compile(r"[A-Za-z0-9_]*")
+_ESCAPES = dict(zip('ntrfb"\\$', "\n\t\r\f\b\"\\$"))
+_OPS = dict(OPERATORS)
+IDENT, NUMBER, STRING, TEMPLATE, NEWLINE, EOF = (
+    TokenType.IDENT, TokenType.NUMBER, TokenType.STRING,
+    TokenType.TEMPLATE, TokenType.NEWLINE, TokenType.EOF,
+)
+LPAREN, RPAREN, LBRACKET, RBRACKET = (
+    TokenType.LPAREN, TokenType.RPAREN, TokenType.LBRACKET, TokenType.RBRACKET
+)
+_new = object.__new__
+
+
+def _token(ttype, value, filename, l1, c1, l2, c2) -> Token:
+    """``Token(ttype, value, SourceSpan(filename, l1, c1, l2, c2))``,
+    built by filling the fresh frozen instances' ``__dict__`` -- a
+    third of the cost of the generated ``__init__``, which pays one
+    ``object.__setattr__`` per field."""
+    span = _new(SourceSpan)
+    d = span.__dict__
+    d["filename"] = filename
+    d["start_line"] = l1
+    d["start_col"] = c1
+    d["end_line"] = l2
+    d["end_col"] = c2
+    tok = _new(Token)
+    d = tok.__dict__
+    d["type"] = ttype
+    d["value"] = value
+    d["span"] = span
+    return tok
 
 
 class Lexer:
-    """Single-pass lexer over one configuration source string."""
+    """Single-pass lexer over one configuration source string.
+
+    ``start_line``/``start_col`` anchor spans when lexing one chunk of
+    a larger file (streaming parse) or an interpolation's source, so
+    tokens report file-absolute positions.
+    """
 
     def __init__(
-        self, source: str, filename: str = "<config>", start_line: int = 1
+        self, source: str, filename: str = "<config>",
+        start_line: int = 1, start_col: int = 1,
     ):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        # start_line anchors spans when lexing one chunk of a larger
-        # file (streaming parse): tokens report file-absolute lines
-        self.line = start_line
-        self.col = 1
-        self._paren_depth = 0  # suppress NEWLINE inside () and []
-
-    # -- low-level cursor helpers -------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _here(self) -> Tuple[int, int]:
-        return self.line, self.col
-
-    def _span_from(self, start: Tuple[int, int]) -> SourceSpan:
-        return SourceSpan(self.filename, start[0], start[1], self.line, self.col)
-
-    def _error(self, message: str) -> CLCSyntaxError:
-        span = SourceSpan(self.filename, self.line, self.col, self.line, self.col)
-        return CLCSyntaxError(message, span)
-
-    # -- public API ----------------------------------------------------
+        self.start_line = start_line
+        self.start_col = start_col
 
     def tokens(self) -> List[Token]:
         """Lex the whole source into a token list ending with EOF."""
+        src, fname = self.source, self.filename
         out: List[Token] = []
+        append = out.append
+        # the column of offset ``i`` on the current line is ``i - lstart``
+        line, lstart = self.start_line, -self.start_col
+        depth = 0  # suppress NEWLINE inside () and []
+        after_nl = False  # collapse runs of newlines
+        pos = 0
         while True:
-            tok = self._next_token()
-            if tok is None:
-                continue
-            # collapse runs of newlines
-            if (
-                tok.type is TokenType.NEWLINE
-                and out
-                and out[-1].type is TokenType.NEWLINE
-            ):
-                continue
-            out.append(tok)
-            if tok.type is TokenType.EOF:
-                return out
-
-    # -- scanning ------------------------------------------------------
-
-    def _next_token(self) -> Optional[Token]:
-        self._skip_inline_space_and_comments()
-        start = self._here()
-        if self.pos >= len(self.source):
-            return Token(TokenType.EOF, None, self._span_from(start))
-        ch = self._peek()
-        if ch == "\n":
-            self._advance()
-            if self._paren_depth > 0:
-                return None
-            return Token(TokenType.NEWLINE, "\n", self._span_from(start))
-        if ch in _IDENT_START:
-            return self._lex_ident(start)
-        if ch in _DIGITS:
-            return self._lex_number(start)
-        if ch == '"':
-            return self._lex_string(start)
-        if ch == "<" and self._peek(1) == "<":
-            return self._lex_heredoc(start)
-        return self._lex_operator(start)
-
-    def _skip_inline_space_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in (" ", "\t", "\r"):
-                # bulk-skip the whole run (no newlines in the class, so
-                # column tracking is a single addition)
-                match = _SPACE_RE.match(self.source, self.pos)
-                length = match.end() - match.start()
-                self.pos += length
-                self.col += length
-            elif ch == "#" or (ch == "/" and self._peek(1) == "/"):
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance()
-                self._advance()
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
+            for m in _MASTER.finditer(src, pos):
+                kind = m.lastgroup
+                text = m.group(kind)
+                e = m.end()
+                s = e - len(text)
+                if kind == "ident":
+                    ttype, value = IDENT, text
+                elif kind == "op":
+                    ttype, value = _OPS[text], text
+                    if ttype is LPAREN or ttype is LBRACKET:
+                        depth += 1
+                    elif (ttype is RPAREN or ttype is RBRACKET) and depth:
+                        depth -= 1
+                elif kind == "nl":
+                    if not depth and not after_nl:
+                        append(_token(NEWLINE, "\n", fname, line, s - lstart, line + 1, 1))
+                        after_nl = True
+                    line += text.count("\n")
+                    lstart = s + text.rindex("\n")
+                    continue
+                elif kind == "str":
+                    ttype, value = STRING, text[1:-1]
+                elif kind == "num":
+                    ttype, value = NUMBER, self._number(text, s)
+                elif kind == "comment" or kind == "block":
+                    if "\n" in text:  # only block comments span lines
+                        line += text.count("\n")
+                        lstart = s + text.rindex("\n")
+                    continue
+                elif kind == "open" and text != "/*":
+                    scan = self._string if text == '"' else self._heredoc
+                    tok, pos = scan(s, line, lstart)
+                    append(tok)
+                    after_nl = False
+                    line, lstart = self._sync(s, pos, line, lstart)
+                    break
+                elif kind == "open":
+                    raise self._error("unterminated block comment", len(src))
                 else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _lex_ident(self, start: Tuple[int, int]) -> Token:
-        match = _IDENT_RE.match(self.source, self.pos)
-        text = match.group()
-        # identifiers never contain newlines: advance in one step
-        self.pos = match.end()
-        self.col += len(text)
-        span = self._span_from(start)
-        if text in KEYWORD_LITERALS:
-            # true/false/null lex as IDENT; the parser resolves keyword
-            # literals so that block labels like `null_resource` still work.
-            return Token(TokenType.IDENT, text, span)
-        return Token(TokenType.IDENT, text, span)
-
-    def _lex_number(self, start: Tuple[int, int]) -> Token:
-        chars = []
-        is_float = False
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in _DIGITS:
-                chars.append(self._advance())
-            elif ch == "." and self._peek(1) in _DIGITS and not is_float:
-                is_float = True
-                chars.append(self._advance())
-            elif ch in ("e", "E") and (
-                self._peek(1) in _DIGITS
-                or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-            ):
-                is_float = True
-                chars.append(self._advance())
-                if self._peek() in "+-":
-                    chars.append(self._advance())
+                    raise self._error(f"unexpected character {text!r}", s)
+                append(_token(ttype, value, fname, line, s - lstart, line, e - lstart))
+                after_nl = False
             else:
                 break
-        text = "".join(chars)
-        value: Any = float(text) if is_float else int(text)
-        return Token(TokenType.NUMBER, value, self._span_from(start))
+        end = len(src) - lstart
+        append(_token(EOF, None, fname, line, end, line, end))
+        return out
 
-    def _lex_string(self, start: Tuple[int, int]) -> Token:
-        self._advance()  # opening quote
+    # -- positions -----------------------------------------------------
+
+    def _sync(self, base: int, off: int, line: int, lstart: int) -> Tuple[int, int]:
+        """``(line, lstart)`` at ``off``, given them at ``base <= off``."""
+        newlines = self.source.count("\n", base, off)
+        if not newlines:
+            return line, lstart
+        return line + newlines, self.source.rindex("\n", base, off)
+
+    def _span(self, start: int, end: int, line: int, lstart: int) -> SourceSpan:
+        """The span ``start..end``; ``line``/``lstart`` hold at ``start``."""
+        l2, lend = self._sync(start, end, line, lstart)
+        return SourceSpan(self.filename, line, start - lstart, l2, end - lend)
+
+    def _error(self, message: str, off: int) -> CLCSyntaxError:
+        line, lstart = self._sync(0, off, self.start_line, -self.start_col)
+        return CLCSyntaxError(message, self._span(off, off, line, lstart))
+
+    # -- sub-scanners --------------------------------------------------
+
+    def _number(self, text: str, off: int) -> Any:
+        if "." not in text and "e" not in text and "E" not in text:
+            return int(text)
+        try:
+            return float(text)
+        except ValueError:  # a second exponent: 1e5e5
+            raise self._error(f"invalid number literal {text!r}", off)
+
+    def _string(self, start: int, line: int, lstart: int) -> Tuple[Token, int]:
+        """A quoted string with escapes and/or ``${...}`` parts."""
+        src, n = self.source, len(self.source)
         parts: List[Tuple] = []
         lit: List[str] = []
-
-        def flush_lit() -> None:
-            if lit:
-                parts.append(("lit", "".join(lit)))
-                lit.clear()
-
+        i = start + 1
         while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "\n":
-                raise self._error("newline in string literal")
+            m = _LITERAL_RUN.match(src, i)
+            if m is not None:
+                lit.append(m.group())
+                i = m.end()
+            if i >= n:
+                raise self._error("unterminated string literal", n)
+            ch = src[i]
             if ch == '"':
-                self._advance()
+                i += 1
                 break
+            if ch == "\n":
+                raise self._error("newline in string literal", i)
             if ch == "\\":
-                self._advance()
-                esc = self._peek()
+                esc = src[i + 1 : i + 2]
                 if esc in _ESCAPES:
-                    self._advance()
                     lit.append(_ESCAPES[esc])
-                elif esc == "u":
-                    self._advance()
-                    digits = "".join(self._advance() for _ in range(4))
-                    try:
+                    i += 2
+                    continue
+                if esc != "u":
+                    raise self._error(f"invalid escape sequence \\{esc}", i + 1)
+                digits = src[i + 2 : i + 6]
+                i += 2 + len(digits)
+                try:
+                    if len(digits) == 4:
                         lit.append(chr(int(digits, 16)))
-                    except ValueError:
-                        raise self._error(f"invalid unicode escape \\u{digits}")
-                else:
-                    raise self._error(f"invalid escape sequence \\{esc}")
-                continue
-            if ch == "$" and self._peek(1) == "{":
-                if self._peek(2) == "":
-                    raise self._error("unterminated interpolation")
-                flush_lit()
-                parts.append(self._lex_interpolation())
-                continue
-            if ch == "$" and self._peek(1) == "$" and self._peek(2) == "{":
-                # $${ is an escaped literal ${
-                self._advance()
-                self._advance()
+                        continue
+                except ValueError:
+                    pass
+                raise self._error(f"invalid unicode escape \\u{digits}", i)
+            elif src.startswith("${", i):
+                if i + 2 >= n:
+                    raise self._error("unterminated interpolation", i)
+                if lit:
+                    parts.append(("lit", "".join(lit)))
+                    lit = []
+                part, i = self._interpolation(i + 2, start, line, lstart)
+                parts.append(part)
+            else:  # a lone "$", or "$${": an escaped literal "${"
                 lit.append("$")
-                continue
-            lit.append(self._advance())
-        flush_lit()
-        span = self._span_from(start)
+                i += 2 if src.startswith("$${", i) else 1
+        if lit or not parts:
+            parts.append(("lit", "".join(lit)))
+        span = self._span(start, i, line, lstart)
         if len(parts) == 1 and parts[0][0] == "lit":
-            return Token(TokenType.STRING, parts[0][1], span)
-        if not parts:
-            return Token(TokenType.STRING, "", span)
-        if all(p[0] == "lit" for p in parts):
-            return Token(TokenType.STRING, "".join(p[1] for p in parts), span)
-        return Token(TokenType.TEMPLATE, parts, span)
+            return Token(STRING, parts[0][1], span), i
+        return Token(TEMPLATE, parts, span), i
 
-    def _lex_interpolation(self) -> Tuple[str, str, SourceSpan]:
-        """Consume ``${ ... }`` and return ("expr", source, span)."""
-        self._advance()  # $
-        self._advance()  # {
-        expr_start = self._here()
-        depth = 1
-        chars: List[str] = []
-        in_str = False
+    def _interpolation(
+        self, begin: int, base: int, line: int, lstart: int
+    ) -> Tuple[Tuple[str, str, SourceSpan], int]:
+        """Scan ``${``'s body from ``begin``: ("expr", source, span) and
+        the offset past the closing brace. ``line``/``lstart`` hold at
+        ``base``, the string's opening quote."""
+        src = self.source
+        depth, in_str, i = 1, False, begin
         while True:
-            if self.pos >= len(self.source):
-                raise self._error("unterminated interpolation")
-            ch = self._peek()
+            m = _INTERP_STOP.search(src, i)
+            if m is None:
+                raise self._error("unterminated interpolation", len(src))
+            ch, i = m.group(), m.end()
             if in_str:
                 if ch == "\\":
-                    chars.append(self._advance())
-                    if self.pos < len(self.source):
-                        chars.append(self._advance())
-                    continue
-                if ch == '"':
+                    i = min(i + 1, len(src))
+                elif ch == '"':
                     in_str = False
             elif ch == '"':
                 in_str = True
@@ -278,77 +262,41 @@ class Lexer:
                 depth += 1
             elif ch == "}":
                 depth -= 1
-                if depth == 0:
-                    span = self._span_from(expr_start)
-                    self._advance()  # closing }
-                    return ("expr", "".join(chars), span)
-            chars.append(self._advance())
+                if not depth:
+                    line, lstart = self._sync(base, begin, line, lstart)
+                    span = self._span(begin, i - 1, line, lstart)
+                    return ("expr", src[begin : i - 1], span), i
 
-    def _lex_heredoc(self, start: Tuple[int, int]) -> Token:
-        self._advance()
-        self._advance()  # <<
-        strip_indent = False
-        if self._peek() == "-":
-            strip_indent = True
-            self._advance()
-        marker_chars = []
-        while self.pos < len(self.source) and self._peek() in _IDENT_CONT:
-            marker_chars.append(self._advance())
-        marker = "".join(marker_chars)
+    def _heredoc(self, start: int, line: int, lstart: int) -> Tuple[Token, int]:
+        src = self.source
+        strip_indent = src.startswith("-", start + 2)
+        m = _MARKER.match(src, start + 2 + strip_indent)
+        marker, i = m.group(), m.end()
         if not marker:
-            raise self._error("heredoc requires a delimiter word")
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-        if self.pos < len(self.source):
-            self._advance()  # consume newline after marker
+            raise self._error("heredoc requires a delimiter word", i)
+        eol = src.find("\n", i)
+        i = len(src) if eol < 0 else eol + 1
         lines: List[str] = []
-        current: List[str] = []
         while True:
-            if self.pos >= len(self.source):
-                raise self._error(f"unterminated heredoc (expected {marker})")
-            if self._peek() == "\n":
-                line = "".join(current)
-                if line.strip() == marker:
-                    # leave the newline unconsumed: it ends the heredoc
-                    # *item*, so the main loop emits a NEWLINE token and
-                    # an attribute may follow on the next line
-                    break
-                self._advance()
-                lines.append(line)
-                current = []
-            else:
-                current.append(self._advance())
+            eol = src.find("\n", i)
+            if eol < 0:
+                raise self._error(f"unterminated heredoc (expected {marker})", len(src))
+            text = src[i:eol]
+            # the closing marker's newline stays unconsumed: it ends the
+            # heredoc *item*, so the main loop emits a NEWLINE token and
+            # an attribute may follow on the next line
+            if text.strip() == marker:
+                break
+            lines.append(text)
+            i = eol + 1
         if strip_indent and lines:
             pad = min(
                 (len(ln) - len(ln.lstrip()) for ln in lines if ln.strip()),
                 default=0,
             )
             lines = [ln[pad:] if len(ln) >= pad else ln for ln in lines]
-        text = "\n".join(lines)
-        if lines:
-            text += "\n"
-        return Token(TokenType.STRING, text, self._span_from(start))
-
-    def _lex_operator(self, start: Tuple[int, int]) -> Token:
-        # Longest-match via per-length dict probes. The historical
-        # implementation sliced the *entire remaining source* per token
-        # (O(source) each, quadratic over a file); these slices are at
-        # most three characters.
-        pos = self.pos
-        for length, bucket in _OPS_BY_LEN:
-            literal = self.source[pos : pos + length]
-            ttype = bucket.get(literal)
-            if ttype is None:
-                continue
-            # operators never contain newlines: advance in one step
-            self.pos += length
-            self.col += length
-            if ttype in (TokenType.LPAREN, TokenType.LBRACKET):
-                self._paren_depth += 1
-            elif ttype in (TokenType.RPAREN, TokenType.RBRACKET):
-                self._paren_depth = max(0, self._paren_depth - 1)
-            return Token(ttype, literal, self._span_from(start))
-        raise self._error(f"unexpected character {self._peek()!r}")
+        text = "".join(ln + "\n" for ln in lines)
+        return Token(STRING, text, self._span(start, eol, line, lstart)), eol
 
 
 def tokenize(source: str, filename: str = "<config>") -> List[Token]:

@@ -448,11 +448,8 @@ def parse_expression_source(
     source: str, filename: str = "<expr>", at: Optional[SourceSpan] = None
 ) -> Expr:
     """Parse a standalone expression (used for template interpolations)."""
-    lexer = Lexer(source, filename)
-    if at is not None:
-        lexer.line = at.start_line
-        lexer.col = at.start_col
-    parser = Parser(lexer.tokens(), filename)
+    line, col = (at.start_line, at.start_col) if at is not None else (1, 1)
+    parser = Parser(Lexer(source, filename, line, col).tokens(), filename)
     expr = parser.parse_expression()
     parser._skip_newlines()
     parser._expect(TokenType.EOF, "end of expression")

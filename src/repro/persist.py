@@ -160,7 +160,7 @@ def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
             name: plane_to_dict(plane)
             for name, plane in sorted(engine.gateway.planes.items())
         },
-        "state": json.loads(engine.state.to_json()),
+        "state": engine.state.to_dict(),
         "history": history_to_dict(engine.history),
         "last_sources": engine.last_sources,
         "last_variables": engine.last_variables,

@@ -40,7 +40,7 @@ def render_value(value: Value, indent: int = 0) -> str:
             return str(int(value))
         return repr(value)
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return _quote(value)
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -65,7 +65,13 @@ def render_value(value: Value, indent: int = 0) -> str:
 def _render_key(key: str) -> str:
     if key.isidentifier():
         return key
-    return json.dumps(key, ensure_ascii=False)
+    return _quote(key)
+
+
+def _quote(text: str) -> str:
+    """A CLC string literal for ``text``: JSON quoting, plus ``$${`` so
+    a literal ``${`` does not lex as an interpolation."""
+    return json.dumps(text, ensure_ascii=False).replace("${", "$${")
 
 
 @dataclasses.dataclass

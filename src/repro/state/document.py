@@ -346,17 +346,19 @@ class StateDocument:
 
     # -- serialization ---------------------------------------------------------
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The document as JSON-ready data. Attribute and output values
+        are the live ones, not copies: serialize the result, do not
+        mutate it."""
+        return {
+            "serial": self.serial,
+            "lineage": self.lineage,
+            "outputs": self.outputs,
+            "resources": [r.to_dict() for r in self.resources()],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "serial": self.serial,
-                "lineage": self.lineage,
-                "outputs": self.outputs,
-                "resources": [r.to_dict() for r in self.resources()],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def content_hash(self) -> str:
         """sha256 over *what is deployed*, excluding timestamps.

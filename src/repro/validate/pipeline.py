@@ -12,9 +12,9 @@ Three levels, matching the E6 ablation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..graph.builder import GraphBuildError
+from ..graph.builder import GraphBuildError, ResourceGraph, build_graph
 from ..lang.config import Configuration
 from ..lang.diagnostics import CLCError, Diagnostic, DiagnosticSink, Severity
 from ..types.checker import TypeChecker
@@ -75,12 +75,21 @@ class ValidationPipeline:
         else:
             self.engine = RuleEngine(list(extra_rules))
 
+    def syntax_report(self, exc: CLCError) -> ValidationReport:
+        """The report for sources that do not lex or parse."""
+        sink = DiagnosticSink()
+        sink.error(str(exc), code="SYNTAX")
+        return ValidationReport(self.level, sink.diagnostics, {"syntax": 1})
+
     def validate(
         self,
         config_or_sources: Union[Configuration, str, Dict[str, str]],
         variables: Optional[Dict[str, Any]] = None,
         loader=None,
+        graph: Optional[Callable[[], ResourceGraph]] = None,
     ) -> ValidationReport:
+        """Validate up to the configured level. ``graph`` supplies the
+        rule stage's expanded graph, which the rules leave unchanged."""
         sink = DiagnosticSink()
         stage_errors: Dict[str, int] = {}
 
@@ -91,10 +100,7 @@ class ValidationPipeline:
             try:
                 config = Configuration.parse(config_or_sources)
             except CLCError as exc:
-                sink.error(str(exc), code="SYNTAX")
-                return ValidationReport(
-                    self.level, sink.diagnostics, {"syntax": len(sink.errors)}
-                )
+                return self.syntax_report(exc)
         sink.extend(config.diagnostics)
         stage_errors["syntax"] = len(sink.errors)
         if self.level == LEVEL_SYNTAX or sink.has_errors():
@@ -109,14 +115,18 @@ class ValidationPipeline:
 
         # stage 2: cloud-specific rules (needs the expanded graph)
         try:
-            ctx = ValidationContext.build(
-                config, self.registry, variables=variables, loader=loader
-            )
+            expanded = graph() if graph else build_graph(config, variables, loader)
         except (GraphBuildError, CLCError) as exc:
             sink.error(str(exc), code="GRAPH")
             stage_errors["rules"] = 1
             return ValidationReport(self.level, sink.diagnostics, stage_errors)
-        rule_sink = self.engine.run(ctx)
+        ctx = ValidationContext(config, expanded, self.registry)
+        # the rules see the configuration, not a state: a graph replayed
+        # from the compile cache is still bound to the state it was
+        # planned against, and the plan that reuses this graph must not
+        # inherit the Unknowns the rules memoize
+        with expanded.unbound():
+            rule_sink = self.engine.run(ctx)
         sink.extend(rule_sink)
         stage_errors["rules"] = len(rule_sink.errors)
         return ValidationReport(self.level, sink.diagnostics, stage_errors)

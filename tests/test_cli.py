@@ -1,6 +1,8 @@
 """CLI end-to-end tests (in tmp project directories)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,3 +228,65 @@ class TestCliExtras:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["apply", *flags])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+BAD_ESCAPE = 'resource "aws_vpc" "bad" {\n  name = "\\q"\n}\n'
+
+
+class TestCliSyntaxErrors:
+    """A lex/parse error is a SYNTAX diagnostic with its span, exit 1."""
+
+    def clc(self, project, *argv):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "--chdir", project, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
+    def test_syntax_error_is_reported(self, project, command):
+        assert self.clc(project, "init").returncode == 0
+        with open(os.path.join(project, "main.clc"), "w") as handle:
+            handle.write(BAD_ESCAPE)
+        proc = self.clc(project, command)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "[SYNTAX]" in proc.stdout
+        assert "invalid escape sequence \\q at main.clc:2:12" in proc.stdout
+
+
+class TestCliCompileOnce:
+    def test_plan_compiles_once_and_apply_reuses_the_artifact(
+        self, project, monkeypatch, capsys
+    ):
+        from repro.graph import builder
+        from repro.lang.config import Configuration
+
+        calls = {"parse": 0, "build": 0}
+        parse = Configuration.parse_streaming
+        build = builder.GraphBuilder.build
+
+        def counted_parse(cls, *args, **kwargs):
+            calls["parse"] += 1
+            return parse(*args, **kwargs)
+
+        def counted_build(self):
+            calls["build"] += 1
+            return build(self)
+
+        monkeypatch.setattr(
+            Configuration, "parse_streaming", classmethod(counted_parse)
+        )
+        monkeypatch.setattr(builder.GraphBuilder, "build", counted_build)
+        assert run(project, "init") == 0
+        assert run(project, "plan") == 0  # cold cache
+        assert calls == {"parse": 1, "build": 1}
+        calls.update(parse=0, build=0)
+        assert run(project, "apply") == 0  # exact artifact hit
+        assert calls == {"parse": 0, "build": 0}
+        assert "apply complete" in capsys.readouterr().out

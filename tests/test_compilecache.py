@@ -213,18 +213,45 @@ class TestEngineWarmPath:
         warm = CloudlessEngine(
             gateway=CloudGateway.simulated(seed=3), cache_dir=cache_dir
         )
-        warm_plan = warm.plan(SOURCE)
+        compiled = warm.compile(SOURCE)
+        warm_plan = warm.plan(compiled)
         assert warm.compile_cache.exact_hits == 1
         assert warm_plan.render() == cold_plan.render()
         # the render came from the journaled plan text: the warm run
         # never paid the O(estate) unpickle of the artifact payload
-        assert not warm._cache_ctx.lookup.materialized
+        assert not compiled.lookup.materialized
         # ...but touching the object graph still works
         assert len(warm_plan.changes) == len(cold_plan.changes)
-        assert warm._cache_ctx.lookup.materialized
+        assert compiled.lookup.materialized
 
         bare = CloudlessEngine(gateway=CloudGateway.simulated(seed=3))
         assert bare.plan(SOURCE).render() == cold_plan.render()
+
+    def test_validate_is_the_same_on_cold_and_warm_cache(self, tmp_path):
+        # the subnets overlap only once aws_vpc.main is deployed; the
+        # rules check the configuration, so neither report may see the
+        # state the cached graph was planned against
+        vpc = (
+            'resource "aws_vpc" "main" {\n  name = "w-vpc"\n'
+            '  cidr_block = "10.0.0.0/16"\n}\n'
+        )
+        subnets = "".join(
+            f'resource "aws_subnet" "{n}" {{\n  name = "w-{n}"\n'
+            "  vpc_id = aws_vpc.main.id\n"
+            "  cidr_block = cidrsubnet(aws_vpc.main.cidr_block, 8, 1)\n}\n"
+            for n in ("a", "b")
+        )
+        engine = CloudlessEngine(
+            gateway=CloudGateway.simulated(seed=3),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        assert engine.apply(vpc).ok
+        cold = engine.validate(vpc + subnets)
+        engine.plan(vpc + subnets)  # stores the graph bound to state
+        hits = engine.compile_cache.exact_hits
+        warm = engine.validate(vpc + subnets)
+        assert engine.compile_cache.exact_hits == hits + 1
+        assert str(warm) == str(cold)
 
     def test_cached_plan_not_served_for_different_state(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -172,3 +172,53 @@ class TestLifecycleIntegration:
         assert engine.history.versions() == [1, 2, 3]
         diff = engine.history.diff(1, 3)
         assert len(diff.added) == 4  # 2 VMs + 2 NICs
+
+
+class TestCompileOnce:
+    VPC = 'resource "aws_vpc" "main" {\n  name = "c1-vpc"\n  cidr_block = "10.0.0.0/16"\n}\n'
+    SUBNETS = (
+        'locals {\n  vpc = aws_vpc.main.id\n}\n'
+        'resource "aws_subnet" "s" {\n  name = "c1-subnet"\n'
+        '  vpc_id = local.vpc\n  cidr_block = "10.0.1.0/24"\n}\n'
+    )
+
+    def test_validate_and_plan_share_one_graph(self, monkeypatch):
+        from repro.graph import builder
+
+        builds = []
+        original = builder.GraphBuilder.build
+        monkeypatch.setattr(
+            builder.GraphBuilder,
+            "build",
+            lambda self: builds.append(1) or original(self),
+        )
+        engine = CloudlessEngine(seed=5)
+        compiled = engine.compile(web_tier(web_vms=2, app_vms=1))
+        assert engine.validate(compiled).ok
+        assert engine.plan(compiled).summary()["create"] > 0
+        assert len(builds) == 1
+
+    def test_shared_graph_plans_state_backed_locals(self):
+        # validation evaluates local.vpc before the plan binds the graph
+        # to state; the plan must still see the deployed VPC's id
+        engine = CloudlessEngine(seed=5)
+        assert engine.apply(self.VPC).ok
+        vpc_id = engine.state.resources()[0].resource_id
+        source = self.VPC + self.SUBNETS
+        compiled = engine.compile(source)
+        assert engine.validate(compiled).ok
+        shared = engine.plan(compiled).render()
+        assert repr(vpc_id) in shared
+        assert shared == engine.plan(source).render()
+
+    def test_syntax_error_is_a_syntax_diagnostic(self):
+        engine = CloudlessEngine(seed=5)
+        source = 'resource "aws_vpc" "v" {\n  name = "\\q"\n}\n'
+        report = engine.validate(source)
+        assert [d.code for d in report.errors] == ["SYNTAX"]
+        assert "main.clc:2:12" in str(report)
+        result = engine.apply(source)
+        assert result.validation is not None and not result.validation.ok
+        assert result.apply is None
+        with pytest.raises(EngineError, match="main.clc:2:12"):
+            engine.plan(source)

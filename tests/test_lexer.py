@@ -77,6 +77,14 @@ class TestStrings:
         with pytest.raises(CLCSyntaxError):
             tokenize(r'"\q"')
 
+    def test_truncated_unicode_escape(self):
+        # a \u escape cut short by the end of input is a typed syntax
+        # error pointing at the end, not an IndexError
+        with pytest.raises(CLCSyntaxError) as info:
+            tokenize('x = "\\u12')
+        assert "invalid unicode escape" in info.value.message
+        assert (info.value.span.start_line, info.value.span.start_col) == (1, 10)
+
     def test_unterminated_string(self):
         with pytest.raises(CLCSyntaxError):
             tokenize('"oops')

@@ -113,6 +113,21 @@ class TestRoundTrip:
         twice = engine_to_dict(engine_from_dict(once))
         assert once == twice
 
+    def test_world_file_bytes_match_json_round_trip(self, tmp_path):
+        # engine_to_dict serializes the state straight from to_dict();
+        # the file must match the historical to_json()/json.loads form
+        engine = deployed_engine()
+        engine.state.outputs = {"names": ("a", "b"), "nested": {"k": [1.5]}}
+        path = tmp_path / "w.json"
+        save_world(engine, str(path))
+        data = engine_to_dict(engine)
+        data["state"] = json.loads(engine.state.to_json())
+        expected = json.dumps(data, indent=1, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected
+        assert engine.state.to_json() == json.dumps(
+            engine.state.to_dict(), indent=2, sort_keys=True
+        )
+
     def test_sharded_world_applies_as_critical_path(self, tmp_path):
         # the removed sharded executor's interleaved mode made
         # critical-path's scheduling decisions; worlds that stored it
