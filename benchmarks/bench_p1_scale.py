@@ -7,8 +7,8 @@ estate, and what the peak per-dispatch cost is. The numbers land in
 ``BENCH_scale.json`` (see ``docs/performance.md`` for how to read it).
 
 With ``--reference`` every run is repeated with the frozen
-pre-optimization executors from ``repro.deploy.reference``, reporting
-the speedup -- scheduling decisions are asserted identical (same
+pre-optimization executors from ``tests.golden.reference_executor``,
+reporting the speedup -- scheduling decisions are asserted identical (same
 simulated makespan), so the speedup is pure overhead reduction.
 
 CI runs the smoke tier::
@@ -28,9 +28,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(1, _ROOT)  # the reference executors live under tests/golden
 
 from repro import perf
 from repro.cloud import CloudGateway
@@ -40,12 +40,12 @@ from repro.deploy import (
     SequentialExecutor,
 )
 from repro.deploy.incremental import read_data_sources
-from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
 from repro.state import StateDocument
 from repro.workloads import scale_estate
+from tests.golden.reference_executor import REFERENCE_FOR
 
 EXECUTORS = {
     "sequential": SequentialExecutor,

@@ -2,7 +2,7 @@
 
 Measures the four state-layer hot paths that PR 3 rebuilt around
 copy-on-write structural sharing, at 1k / 10k resources, against the
-frozen deep-copy reference in ``repro.state.reference``:
+frozen deep-copy reference in ``tests.golden.reference_state``:
 
 * ``checkpoint``  -- ``SnapshotHistory.checkpoint`` with a small
   mutation batch between versions (O(changed) delta vs full deep copy),
@@ -32,9 +32,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(1, _ROOT)  # the reference state lives under tests/golden
 
 from repro import perf
 from repro.addressing import ResourceAddress
@@ -45,7 +45,7 @@ from repro.state import (
     StateDatabase,
     StateDocument,
 )
-from repro.state.reference import (
+from tests.golden.reference_state import (
     ReferenceResourceState,
     ReferenceSnapshotHistory,
     ReferenceStateDocument,

@@ -26,7 +26,7 @@ from ..deploy.executor import (
 from ..deploy.incremental import read_data_sources
 from ..deploy.recovery import CrashRecovery, RecoveryReport
 from ..deploy.wal import IntentJournal
-from ..drift.detector import DetectionRun, DriftFinding, LogWatchDetector
+from ..drift.detector import DetectionRun, DriftFinding
 from ..drift.reconcile import Reconciler, ReconcileReport
 from ..drift.watcher import DriftWatcher, WatchCycle
 from ..graph.builder import ResourceGraph, build_graph
@@ -251,10 +251,10 @@ class CloudlessEngine:
         self.controller = InfrastructureController()
         self.cost = CostEstimator()
         self.debugger = IaCDebugger(self.registry)
-        self.watcher = LogWatchDetector(self.resilient)
-        #: lazily-built continuous-reconciliation loop (see
-        #: :meth:`watch_continuously`); shares ``self.watcher``'s cursors
-        self.continuous_watcher: Optional[DriftWatcher] = None
+        #: the one drift loop: :meth:`watch` and
+        #: :meth:`watch_continuously` run its cycles, so both share its
+        #: cursors, deferred and pending repairs
+        self.watcher = DriftWatcher(self.resilient, health=self.health)
         self.validation = ValidationPipeline(
             registry=self.registry, level=validation_level
         )
@@ -598,8 +598,15 @@ class CloudlessEngine:
     # -- observe / repair -------------------------------------------------------------
 
     def watch(self) -> DetectionRun:
-        """One drift-detection poll over the activity logs."""
-        run = self.watcher.poll(self.state)
+        """One observe-only cycle of the drift watcher: external events
+        coalesced into findings per resource, nothing repaired. Drift it
+        would repair is carried to the next repairing pass."""
+        watcher = self.watcher
+        repairing, watcher.auto_reconcile = watcher.auto_reconcile, False
+        try:
+            run = watcher.cycle(self.state).run
+        finally:
+            watcher.auto_reconcile = repairing
         if run.findings:
             self.controller.evaluate_drift(run.findings, self.state, self.clock.now)
         return run
@@ -616,27 +623,17 @@ class CloudlessEngine:
         """Event-driven continuous reconciliation (see
         :class:`~repro.drift.watcher.DriftWatcher`).
 
-        The watcher is cached across calls so deferred/pending repairs
-        survive between invocations; it shares the engine's
-        :class:`LogWatchDetector` (one set of cursors, whether you
-        ``watch`` once or watch continuously) and partition-health
-        ledger."""
-        watcher = self.continuous_watcher
-        if watcher is None:
-            watcher = self.continuous_watcher = DriftWatcher(
-                self.resilient,
-                health=self.health,
-                policy=policy,
-                cursor_path=cursor_path,
-                max_lag_s=max_lag_s,
-                auto_reconcile=auto_reconcile,
-                detector=self.watcher,
-            )
-        else:
-            watcher.max_lag_s = max_lag_s
-            watcher.auto_reconcile = auto_reconcile
-            if policy:
-                watcher.reconciler.policy.update(policy)
+        Runs the engine's one watcher, so deferred/pending repairs
+        survive between invocations and ``watch`` shares its cursors
+        and partition-health ledger. The first ``cursor_path`` given
+        becomes its checkpoint."""
+        watcher = self.watcher
+        if cursor_path and watcher.cursor_store is None:
+            watcher.checkpoint_to(cursor_path)
+        watcher.max_lag_s = max_lag_s
+        watcher.auto_reconcile = auto_reconcile
+        if policy:
+            watcher.reconciler.policy.update(policy)
         out = watcher.run(self.state, cycles=cycles, interval_s=interval_s)
         for cycle in out:
             if cycle.run.findings:

@@ -16,7 +16,7 @@ a per-strategy ready *queue* (FIFO deque or priority heap) instead of
 scanning a ready list, so picking the next operation is O(log n)
 instead of O(n) -- at 10k resources the difference between a quadratic
 and a near-linear apply. The frozen pre-optimization loop lives in
-``repro.deploy.reference`` for equivalence tests and speedup
+``tests/golden/reference_executor.py`` for equivalence tests and speedup
 measurement; scheduling decisions here must stay byte-identical to it.
 """
 

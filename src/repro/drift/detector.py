@@ -9,6 +9,11 @@ Two detectors, one interface:
 * :class:`LogWatchDetector` -- the cloudless design: tail the cloud
   activity logs and flag management events whose actor is not the IaC
   framework. Near-instant detection at one read per poll.
+
+:func:`coalesce` is the one mapping from log events to findings: each
+resource's burst of external events folds into at most one finding.
+:meth:`LogWatchDetector.poll` and
+:meth:`~repro.drift.watcher.DriftWatcher.cycle` both use it.
 """
 
 from __future__ import annotations
@@ -51,6 +56,28 @@ class DriftFinding:
     @property
     def key(self) -> str:
         return f"{self.kind}:{self.resource_id}"
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON form for a checkpoint. ``detected_at`` is left out: a
+        carried finding is re-derived, and re-stamped, before use."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "detected_at"
+        }
+        out["address"] = str(self.address) if self.address is not None else None
+        out["changed_attrs"] = list(self.changed_attrs)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "DriftFinding":
+        address = data.get("address")
+        return cls(
+            **{
+                **data,
+                "address": ResourceAddress.parse(address) if address else None,
+            }
+        )
 
 
 @dataclasses.dataclass
@@ -299,52 +326,90 @@ class LogWatchDetector:
         return by_provider, unreachable
 
     def poll(self, state: StateDocument) -> DetectionRun:
-        """One poll: read new log events, map external ones to findings."""
+        """One poll: read new log events, coalesce external ones into
+        findings."""
         clock = self.gateway.clock
         started = clock.now
         calls_before = self.gateway.total_api_calls()
-        findings: List[DriftFinding] = []
         by_provider, unreachable = self.tail()
-        for events in by_provider.values():
-            for event in events:
-                finding = self._finding_from_event(event, state)
-                if finding is not None:
-                    findings.append(finding)
         return DetectionRun(
-            findings=findings,
+            findings=coalesce(by_provider, state, clock.now),
             api_calls=self.gateway.total_api_calls() - calls_before,
             duration_s=clock.now - started,
             finished_at=clock.now,
             unreachable=unreachable,
         )
 
-    def _finding_from_event(
-        self, event: ActivityEvent, state: StateDocument
-    ) -> Optional[DriftFinding]:
-        if not event.is_external:
+
+def coalesce(
+    by_provider: Mapping[str, List[ActivityEvent]],
+    state: StateDocument,
+    now: float,
+) -> List[DriftFinding]:
+    """Fold each resource's external event burst into at most one
+    finding: the terminal delete, or the union of changed attributes.
+    IaC events (the framework's own writes) are not drift."""
+    findings: List[DriftFinding] = []
+    for provider in sorted(by_provider):
+        groups: Dict[str, List[ActivityEvent]] = {}
+        for event in by_provider[provider]:
+            if event.is_external:
+                groups.setdefault(event.resource_id, []).append(event)
+        for resource_id, events in groups.items():
+            finding = _fold(provider, resource_id, events, state, now)
+            if finding is not None:
+                findings.append(finding)
+    return findings
+
+
+def _fold(
+    provider: str,
+    resource_id: str,
+    events: List[ActivityEvent],
+    state: StateDocument,
+    now: float,
+) -> Optional[DriftFinding]:
+    last = events[-1]
+    entry = state.by_resource_id(resource_id)
+    if last.operation == "delete":
+        if entry is None:
+            # never managed (or created-then-deleted out of band
+            # within one window): nothing to converge
             return None
-        entry = state.by_resource_id(event.resource_id)
-        if event.operation == "create":
+        return DriftFinding(
+            kind="deleted",
+            resource_id=resource_id,
+            resource_type=last.resource_type,
+            address=entry.address,
+            detected_at=now,
+            actor=last.actor,
+            provider=provider,
+            region=last.region or entry.region,
+            event_count=len(events),
+        )
+    if entry is None:
+        if any(event.operation == "create" for event in events):
             return DriftFinding(
                 kind="unmanaged",
-                resource_id=event.resource_id,
-                resource_type=event.resource_type,
-                detected_at=self.gateway.clock.now,
-                actor=event.actor,
-                provider=event.provider,
-                region=event.region,
+                resource_id=resource_id,
+                resource_type=last.resource_type,
+                detected_at=now,
+                actor=last.actor,
+                provider=provider,
+                region=last.region,
+                event_count=len(events),
             )
-        if entry is None:
-            return None  # external change to a resource we never managed
-        kind = "deleted" if event.operation == "delete" else "modified"
-        return DriftFinding(
-            kind=kind,
-            resource_id=event.resource_id,
-            resource_type=event.resource_type,
-            address=entry.address,
-            changed_attrs=sorted(event.changed_attrs),
-            detected_at=self.gateway.clock.now,
-            actor=event.actor,
-            provider=event.provider,
-            region=event.region,
-        )
+        return None  # external change to a resource we never managed
+    changed = sorted({a for event in events for a in event.changed_attrs})
+    return DriftFinding(
+        kind="modified",
+        resource_id=resource_id,
+        resource_type=last.resource_type,
+        address=entry.address,
+        changed_attrs=changed,
+        detected_at=now,
+        actor=last.actor,
+        provider=provider,
+        region=last.region or entry.region,
+        event_count=len(events),
+    )

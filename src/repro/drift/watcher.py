@@ -14,8 +14,8 @@ sweeps with cursor-based tailing of each provider plane's activity log
   counters;
 * **event coalescing** -- N raw log events against one resource
   collapse into a single finding (the union of changed attributes, or
-  the terminal delete), so reconcile cost tracks *drifted resources*,
-  not event volume;
+  the terminal delete; :func:`~repro.drift.detector.coalesce`), so
+  reconcile cost tracks *drifted resources*, not event volume;
 * **auto-reconcile** -- each finding is classified through a
   reconcile-decision taxonomy (``enforce`` / ``adopt`` / ``notify`` /
   ``defer-dark``, after the agent-policy split in arxiv 2510.20211) and
@@ -30,7 +30,7 @@ sweeps with cursor-based tailing of each provider plane's activity log
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..cloud.activitylog import ActivityEvent
 from ..cloud.gateway import CloudGateway
@@ -39,7 +39,7 @@ from ..lang.values import values_equal
 from ..perf import PERF
 from ..state.document import StateDocument
 from ..state.store import JournalStateStore
-from .detector import DetectionRun, DriftFinding, LogWatchDetector
+from .detector import DetectionRun, DriftFinding, LogWatchDetector, coalesce
 from .reconcile import (
     ADOPT,
     ENFORCE,
@@ -162,7 +162,9 @@ class WatchCursorStore:
     Reuses :class:`JournalStateStore` (keyframe + JSONL delta journal,
     torn-tail truncation, ``.bak`` fallback): a cursor checkpoint is an
     O(changed) append, and every crash window replays to the same
-    cursors -- the watcher resumes, it never replays the log.
+    cursors -- the watcher resumes, it never replays the log. The
+    watcher's carryover (:meth:`DriftWatcher.carryover`) is checkpointed
+    with the cursors, since the events behind it are already consumed.
     """
 
     def __init__(self, path: str, compact_threshold: int = 32):
@@ -173,12 +175,21 @@ class WatchCursorStore:
         raw = doc.outputs.get("cursors", {})
         return {str(name): int(cursor) for name, cursor in raw.items()}
 
-    def save(self, cursors: Mapping[str, int]) -> None:
+    def load_carryover(self) -> Dict[str, Any]:
+        return self._store.read().outputs.get("carryover", {})
+
+    def save(
+        self, cursors: Mapping[str, int], carryover: Dict[str, Any]
+    ) -> None:
         snapshot = {name: int(c) for name, c in sorted(cursors.items())}
         doc = self._store.read()
-        if doc.outputs.get("cursors") == snapshot:
+        if (
+            doc.outputs.get("cursors") == snapshot
+            and doc.outputs.get("carryover", {}) == carryover
+        ):
             return  # nothing moved; no journal append
         doc.outputs["cursors"] = snapshot
+        doc.outputs["carryover"] = carryover
         doc.bump()
         self._store.write(doc)
 
@@ -213,19 +224,48 @@ class DriftWatcher:
         self.reconciler = reconciler or Reconciler(self.gateway, policy=policy)
         self.max_lag_s = max_lag_s
         self.auto_reconcile = auto_reconcile
-        self.cursor_store = (
-            WatchCursorStore(cursor_path) if cursor_path else None
-        )
-        if self.cursor_store is not None:
-            self.detector.restore_cursors(self.cursor_store.load())
+        self.cursor_store: Optional[WatchCursorStore] = None
         #: when each partition was last successfully observed
         self._last_seen: Dict[str, float] = {}
         self._started_at: Optional[float] = None
-        #: repairs that failed or were interrupted -- refreshed against
-        #: live state and retried next cycle
+        #: repairs that failed or were interrupted, and drift an
+        #: observe-only pass carried -- refreshed against live state and
+        #: retried by the next repairing cycle
         self._pending: List[DriftFinding] = []
         #: repairs deferred to a dark partition's recovery horizon
         self._deferred: List[Tuple[DriftFinding, float]] = []
+        if cursor_path:
+            self.checkpoint_to(cursor_path)
+
+    def checkpoint_to(self, cursor_path: str) -> None:
+        """Journal cursors to ``cursor_path``, resuming from the
+        checkpoint already there."""
+        self.cursor_store = WatchCursorStore(cursor_path)
+        self.detector.restore_cursors(self.cursor_store.load())
+        self.restore_carryover(self.cursor_store.load_carryover())
+
+    def carryover(self) -> Dict[str, Any]:
+        """Pending and deferred repairs in JSON form, for a checkpoint."""
+        return {
+            "pending": [f.to_dict() for f in self._pending],
+            "deferred": [[f.to_dict(), at] for f, at in self._deferred],
+        }
+
+    def restore_carryover(self, data: Mapping[str, Any]) -> None:
+        """Add a checkpoint's carryover; a resource already carried
+        keeps its entry."""
+        held = {_key(f) for f in self._pending}
+        held.update(_key(f) for f, _ in self._deferred)
+        for raw in data.get("pending", []):
+            finding = DriftFinding.from_dict(raw)
+            if _key(finding) not in held:
+                held.add(_key(finding))
+                self._pending.append(finding)
+        for raw, retry_at in data.get("deferred", []):
+            finding = DriftFinding.from_dict(raw)
+            if _key(finding) not in held:
+                held.add(_key(finding))
+                self._deferred.append((finding, float(retry_at)))
 
     # -- introspection -------------------------------------------------------
 
@@ -266,7 +306,7 @@ class DriftWatcher:
         now = clock.now
 
         lag_s, stale = self._account_staleness(by_provider, now)
-        fresh = self._coalesce(by_provider, state, now)
+        fresh = coalesce(by_provider, state, now)
         readmitted, still_dark = self._readmit_deferred(state, now)
         retries = self._refresh_pending(state, now)
         findings = self._merge(retries, readmitted, fresh)
@@ -286,11 +326,18 @@ class DriftWatcher:
         self._deferred.extend(still_dark)
 
         report = None
-        if self.auto_reconcile and actionable:
+        if not self.auto_reconcile:
+            # observe-only: drift the policy would repair is carried to
+            # the next repairing pass, which re-derives it from live
+            # state; the log cursor moves on
+            self._pending.extend(
+                d.finding for d in actionable if d.decision in (ENFORCE, ADOPT)
+            )
+        elif actionable:
             report = self._repair(actionable, state)
 
         if self.cursor_store is not None:
-            self.cursor_store.save(self.detector.cursors)
+            self.cursor_store.save(self.detector.cursors, self.carryover())
 
         run = DetectionRun(
             findings=findings,
@@ -299,29 +346,30 @@ class DriftWatcher:
             finished_at=clock.now,
             unreachable=unreachable,
         )
-        raw = sum(len(events) for events in by_provider.values())
-        external = sum(
-            1
-            for events in by_provider.values()
-            for event in events
-            if event.is_external
-        )
-        PERF.count("drift.cycles")
-        PERF.count("drift.events", raw)
-        PERF.count("drift.external_events", external)
-        PERF.count("drift.findings", len(findings))
-        PERF.count("drift.coalesced_events", max(0, external - len(fresh)))
-        PERF.count("drift.deferrals", len(deferred))
-        PERF.count("drift.retries", len(retries))
-        if report is not None:
-            PERF.count(
-                "drift.repairs",
-                sum(
-                    1
-                    for a in report.actions
-                    if a.ok and a.policy in (ENFORCE, ADOPT)
-                ),
+        if PERF.enabled:  # the tallies walk every event: skip them unread
+            raw = sum(len(events) for events in by_provider.values())
+            external = sum(
+                1
+                for events in by_provider.values()
+                for event in events
+                if event.is_external
             )
+            PERF.count("drift.cycles")
+            PERF.count("drift.events", raw)
+            PERF.count("drift.external_events", external)
+            PERF.count("drift.findings", len(findings))
+            PERF.count("drift.coalesced_events", max(0, external - len(fresh)))
+            PERF.count("drift.deferrals", len(deferred))
+            PERF.count("drift.retries", len(retries))
+            if report is not None:
+                PERF.count(
+                    "drift.repairs",
+                    sum(
+                        1
+                        for a in report.actions
+                        if a.ok and a.policy in (ENFORCE, ADOPT)
+                    ),
+                )
         return WatchCycle(
             run=run,
             decisions=decisions,
@@ -329,7 +377,9 @@ class DriftWatcher:
             deferred=deferred,
             lag_s=lag_s,
             stale=stale,
-            pending=len(self._pending) + len(self._deferred),
+            # drift an observe-only pass carries is not a parked repair
+            pending=len(self._deferred)
+            + (len(self._pending) if self.auto_reconcile else 0),
         )
 
     # -- staleness ----------------------------------------------------------
@@ -353,87 +403,6 @@ class DriftWatcher:
                 stale.append(provider)
         return lag_s, stale
 
-    # -- coalescing ----------------------------------------------------------
-
-    def _coalesce(
-        self,
-        by_provider: Dict[str, List[ActivityEvent]],
-        state: StateDocument,
-        now: float,
-    ) -> List[DriftFinding]:
-        """Fold each resource's event burst into at most one finding."""
-        findings: List[DriftFinding] = []
-        for provider in sorted(by_provider):
-            groups: Dict[str, List[ActivityEvent]] = {}
-            order: List[str] = []
-            for event in by_provider[provider]:
-                if not event.is_external:
-                    continue
-                if event.resource_id not in groups:
-                    groups[event.resource_id] = []
-                    order.append(event.resource_id)
-                groups[event.resource_id].append(event)
-            for resource_id in order:
-                finding = self._fold(
-                    provider, resource_id, groups[resource_id], state, now
-                )
-                if finding is not None:
-                    findings.append(finding)
-        return findings
-
-    def _fold(
-        self,
-        provider: str,
-        resource_id: str,
-        events: List[ActivityEvent],
-        state: StateDocument,
-        now: float,
-    ) -> Optional[DriftFinding]:
-        last = events[-1]
-        entry = state.by_resource_id(resource_id)
-        if last.operation == "delete":
-            if entry is None:
-                # never managed (or created-then-deleted out of band
-                # within one window): nothing to converge
-                return None
-            return DriftFinding(
-                kind="deleted",
-                resource_id=resource_id,
-                resource_type=last.resource_type,
-                address=entry.address,
-                detected_at=now,
-                actor=last.actor,
-                provider=provider,
-                region=last.region or entry.region,
-                event_count=len(events),
-            )
-        if entry is None:
-            if any(event.operation == "create" for event in events):
-                return DriftFinding(
-                    kind="unmanaged",
-                    resource_id=resource_id,
-                    resource_type=last.resource_type,
-                    detected_at=now,
-                    actor=last.actor,
-                    provider=provider,
-                    region=last.region,
-                    event_count=len(events),
-                )
-            return None  # external change to a resource we never managed
-        changed = sorted({a for event in events for a in event.changed_attrs})
-        return DriftFinding(
-            kind="modified",
-            resource_id=resource_id,
-            resource_type=last.resource_type,
-            address=entry.address,
-            changed_attrs=changed,
-            detected_at=now,
-            actor=last.actor,
-            provider=provider,
-            region=last.region or entry.region,
-            event_count=len(events),
-        )
-
     # -- carryover (deferred + retry) ---------------------------------------
 
     def _readmit_deferred(
@@ -441,7 +410,8 @@ class DriftWatcher:
     ) -> Tuple[List[DriftFinding], List[Tuple[DriftFinding, float]]]:
         """Deferred repairs whose recovery horizon has passed; the rest
         stay parked (the log events behind them were already consumed,
-        so the deferred finding is their only carrier)."""
+        so the deferred finding, and its checkpoint, is their only
+        carrier)."""
         readmitted: List[DriftFinding] = []
         still_dark: List[Tuple[DriftFinding, float]] = []
         for finding, retry_at in self._deferred:
@@ -457,7 +427,8 @@ class DriftWatcher:
     def _refresh_pending(
         self, state: StateDocument, now: float
     ) -> List[DriftFinding]:
-        """Failed/interrupted repairs, re-derived against live truth.
+        """Failed/interrupted repairs, and drift an observe-only pass
+        carried, re-derived against live truth.
 
         An interrupted replacement leaves *no* external log event (the
         Reconciler's half-repair acted as ``iac``), so the retry queue
@@ -501,6 +472,7 @@ class DriftWatcher:
                 actor=finding.actor,
                 provider=finding.provider or entry.provider,
                 region=entry.region,
+                event_count=finding.event_count,
             )
         changed = sorted(
             key
@@ -519,6 +491,7 @@ class DriftWatcher:
             actor=finding.actor,
             provider=finding.provider or entry.provider,
             region=entry.region,
+            event_count=finding.event_count,
         )
 
     @staticmethod
@@ -528,12 +501,7 @@ class DriftWatcher:
         merged: Dict[str, DriftFinding] = {}
         for batch in batches:
             for finding in batch:
-                key = (
-                    str(finding.address)
-                    if finding.address is not None
-                    else finding.resource_id
-                )
-                merged[key] = finding
+                merged[_key(finding)] = finding
         return list(merged.values())
 
     # -- decisions -----------------------------------------------------------
@@ -619,3 +587,10 @@ class DriftWatcher:
             api_calls=self.gateway.total_api_calls() - calls_before,
             remainder=remainder,
         )
+
+
+def _key(finding: DriftFinding) -> str:
+    """One resource's identity across batches: address, else cloud id."""
+    if finding.address is not None:
+        return str(finding.address)
+    return finding.resource_id

@@ -115,22 +115,16 @@ class ResourceGraph:
     def unbound(self) -> Iterator[None]:
         """Evaluate inside the block as on a freshly built graph: resource
         references read as Unknown even if a plan bound this graph to its
-        state, and locals memoized meanwhile are forgotten on exit."""
+        state."""
         slot = self.binding_resolver
         bound = slot.target if isinstance(slot, DeferredResolver) else None
         if bound is not None:
             slot.target = None
-        tree = [self.root_context]
-        for ctx in tree:  # the list grows as the walk goes
-            tree.extend(ctx._children.values())
-        memos = [(ctx._locals, dict(ctx._locals._cache)) for ctx in tree]
         try:
             yield
         finally:
             if bound is not None:
                 slot.target = bound
-            for memo, cache in memos:
-                memo._cache = cache
 
     def managed_ids(self) -> List[str]:
         return sorted(

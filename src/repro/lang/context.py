@@ -16,7 +16,7 @@ from .config import Configuration, ModuleCall
 from .diagnostics import CLCEvalError, SourceSpan
 from .evaluator import Evaluator, Scope
 from .module_loader import ModuleLoader, NullModuleLoader
-from .values import UNKNOWN, Unknown, coerce_to_type
+from .values import UNKNOWN, Unknown, coerce_to_type, is_unknown
 
 ModulePath = Tuple[str, ...]
 
@@ -119,7 +119,10 @@ class _LazyLocals(Mapping):
             value = Evaluator(self._ctx.scope()).evaluate(cfg.locals[name].expr)
         finally:
             self._in_progress.discard(name)
-        self._cache[name] = value
+        if not is_unknown(value):
+            # an Unknown may become known once resources exist (plan,
+            # then apply), so only settled values are memoized
+            self._cache[name] = value
         return value
 
     def __iter__(self) -> Iterator[str]:

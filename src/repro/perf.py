@@ -13,6 +13,7 @@ setting the ``REPRO_PERF`` environment variable.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator
@@ -60,6 +61,9 @@ class PerfRegistry:
     * ``timed(name)`` -- context manager sugar over ``observe``.
     * ``gauge(name, value)`` -- a last-value-wins level (queue depth,
       active tenants, a fairness ratio).
+
+    The service's apply threads share one registry, so every update
+    takes one lock; a disabled probe returns before touching it.
     """
 
     __slots__ = (
@@ -69,6 +73,7 @@ class PerfRegistry:
         "timer_count",
         "timer_max",
         "gauges",
+        "_lock",
     )
 
     def __init__(self, enabled: bool = False):
@@ -78,6 +83,7 @@ class PerfRegistry:
         self.timer_count: Dict[str, int] = {}
         self.timer_max: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
+        self._lock = threading.Lock()
 
     # -- switches ----------------------------------------------------------
 
@@ -88,31 +94,35 @@ class PerfRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        self.counters.clear()
-        self.timer_total.clear()
-        self.timer_count.clear()
-        self.timer_max.clear()
-        self.gauges.clear()
+        with self._lock:
+            self.counters.clear()
+            self.timer_total.clear()
+            self.timer_count.clear()
+            self.timer_max.clear()
+            self.gauges.clear()
 
     # -- probes ------------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
         if not self.enabled:
             return
-        self.counters[name] = self.counters.get(name, 0) + n
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + n
 
     def observe(self, name: str, seconds: float) -> None:
         if not self.enabled:
             return
-        self.timer_total[name] = self.timer_total.get(name, 0.0) + seconds
-        self.timer_count[name] = self.timer_count.get(name, 0) + 1
-        if seconds > self.timer_max.get(name, 0.0):
-            self.timer_max[name] = seconds
+        with self._lock:
+            self.timer_total[name] = self.timer_total.get(name, 0.0) + seconds
+            self.timer_count[name] = self.timer_count.get(name, 0) + 1
+            if seconds > self.timer_max.get(name, 0.0):
+                self.timer_max[name] = seconds
 
     def gauge(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self.gauges[name] = float(value)
+        with self._lock:
+            self.gauges[name] = float(value)
 
     @contextmanager
     def timed(self, name: str) -> Iterator[None]:
@@ -129,18 +139,19 @@ class PerfRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-friendly dump of everything recorded so far."""
-        return {
-            "counters": dict(self.counters),
-            "timers": {
-                name: {
-                    "total_s": self.timer_total[name],
-                    "count": self.timer_count.get(name, 0),
-                    "max_s": self.timer_max.get(name, 0.0),
-                }
-                for name in self.timer_total
-            },
-            "gauges": dict(self.gauges),
-        }
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "timers": {
+                    name: {
+                        "total_s": self.timer_total[name],
+                        "count": self.timer_count.get(name, 0),
+                        "max_s": self.timer_max.get(name, 0.0),
+                    }
+                    for name in self.timer_total
+                },
+                "gauges": dict(self.gauges),
+            }
 
 
 #: process-wide default registry; hot-path probe sites use this.

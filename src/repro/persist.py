@@ -170,6 +170,9 @@ def engine_to_dict(engine: CloudlessEngine) -> Dict[str, Any]:
         # world resumes tailing where it stopped instead of replaying
         # the whole activity log
         "watch_cursors": engine.watcher.cursors,
+        # drift the watcher carries past those cursors: deferred and
+        # failed repairs, and what observe-only passes left unrepaired
+        "watch_carryover": engine.watcher.carryover(),
     }
 
 
@@ -198,7 +201,8 @@ def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
     engine.history = history_from_dict(data.get("history", []))
     engine.last_sources = dict(data.get("last_sources", {}))
     engine.last_variables = dict(data.get("last_variables", {}))
-    engine.watcher.restore_cursors(data.get("watch_cursors", {}))
+    engine.watcher.detector.restore_cursors(data.get("watch_cursors", {}))
+    engine.watcher.restore_carryover(data.get("watch_carryover", {}))
     return engine
 
 

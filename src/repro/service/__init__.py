@@ -25,9 +25,7 @@ from .admission import (
     STATUS_OF,
     AdmissionController,
     TenantQuota,
-    TokenBucket,
 )
-from .breakers import CircuitBreaker, TenantBreakerBank
 from .core import ControlPlaneService, ServicePolicy, ServiceResponse
 from .degradation import (
     MODE_BROWNOUT,
@@ -48,7 +46,6 @@ from .tenants import (
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "ControlPlaneService",
     "DegradationLadder",
     "MODE_BROWNOUT",
@@ -72,11 +69,9 @@ __all__ = [
     "ServicePolicy",
     "ServiceResponse",
     "SessionFencedError",
-    "TenantBreakerBank",
     "TenantHome",
     "TenantQuota",
     "TenantSession",
-    "TokenBucket",
     "WeightedFairQueue",
     "coordination_plane",
     "reset_coordination_planes",

@@ -34,12 +34,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
+from ..cloud.resilience import GATE_ALLOW, BreakerPolicy, CircuitBreaker
 from ..deploy import SimulatedCrash
 from ..perf import PERF
 from ..workloads.traffic import LatencyHistogram, goodput_fairness_ratio
 from . import admission as adm
 from .admission import AdmissionController, TenantQuota
-from .breakers import TenantBreakerBank
 from .degradation import DegradationLadder
 from .fairness import WeightedFairQueue
 from .tenants import SessionFencedError, TenantSession
@@ -112,9 +112,14 @@ class ControlPlaneService:
             quotas=self.policy.quotas,
             max_queue_depth=self.policy.max_queue_depth,
         )
-        self.breakers = TenantBreakerBank(
-            self.policy.breaker_threshold, self.policy.breaker_cooldown_s
+        # per-tenant breakers with a fixed cooldown: no backoff growth
+        self._breaker_policy = BreakerPolicy(
+            failure_threshold=self.policy.breaker_threshold,
+            recovery_s=self.policy.breaker_cooldown_s,
+            backoff_multiplier=1.0,
+            max_recovery_s=self.policy.breaker_cooldown_s,
         )
+        self.breakers: Dict[str, CircuitBreaker] = {}
         self.ladder = DegradationLadder(
             brownout_up=self.policy.brownout_up,
             brownout_down=self.policy.brownout_down,
@@ -270,7 +275,7 @@ class ControlPlaneService:
             return adm.REJECT_READ_ONLY
         if self.ladder.sheds_priority(request.priority):
             return adm.REJECT_BROWNOUT
-        if not self.breakers.of(request.tenant).allow(now):
+        if self._breaker(request.tenant).gate(now) != GATE_ALLOW:
             return adm.REJECT_CIRCUIT_OPEN
         pending = self.queue.pending(request.tenant) + self._inflight.get(
             request.tenant, 0
@@ -278,6 +283,14 @@ class ControlPlaneService:
         return self.admission.check(
             request.tenant, now, len(self.queue), pending
         )
+
+    def _breaker(self, tenant: str) -> CircuitBreaker:
+        breaker = self.breakers.get(tenant)
+        if breaker is None:
+            breaker = self.breakers[tenant] = CircuitBreaker(
+                ("tenant", tenant), self._breaker_policy
+            )
+        return breaker
 
     def _update_ladder(self) -> str:
         pressure = len(self.queue) / max(1, self.policy.max_queue_depth)
@@ -363,7 +376,7 @@ class ControlPlaneService:
                 self._reject_with(
                     request, adm.REJECT_STALE_SESSION, str(exc)
                 )
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 return
             except (KeyboardInterrupt, SystemExit, SimulatedCrash) as exc:
                 # a chaos crash hook fired mid-apply: this tenant's
@@ -374,7 +387,7 @@ class ControlPlaneService:
                 if session is not None and not session.closed:
                     session.kill()
                 self.failed += 1
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 if not request.future.done():
                     request.future.set_result(
                         ServiceResponse(
@@ -389,7 +402,7 @@ class ControlPlaneService:
                 return
             except Exception as exc:  # engine bug: typed 500, not a hang
                 self.failed += 1
-                self.breakers.of(request.tenant).record_failure(self.clock())
+                self._breaker(request.tenant).record_failure(self.clock())
                 if not request.future.done():
                     request.future.set_result(
                         ServiceResponse(
@@ -406,7 +419,7 @@ class ControlPlaneService:
         self.completed += 1
         self.goodput[request.tenant] = self.goodput.get(request.tenant, 0) + 1
         self.latency.observe(done - request.enqueued_at)
-        self.breakers.of(request.tenant).record_success()
+        self._breaker(request.tenant).record_success(done)
         if not request.future.done():
             request.future.set_result(
                 ServiceResponse(
@@ -540,7 +553,7 @@ class ControlPlaneService:
             "fairness_ratio": fairness,
             "latency": self.latency.to_dict(),
             "queue_wait": self.queue_wait.to_dict(),
-            "breakers": self.breakers.states(),
+            "breakers": {t: b.state for t, b in self.breakers.items()},
         }
 
 

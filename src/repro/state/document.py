@@ -30,7 +30,7 @@ immutable entries**:
 
 ``to_json()`` stays byte-identical to the historical format (pinned by
 ``tests/golden/test_state_golden.py`` against the frozen deep-copy
-implementation in :mod:`repro.state.reference`).
+implementation in ``tests/golden/reference_state.py``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Regenerate tests/golden/random_dag_1k.json.
 
-Runs the frozen *reference* executors (repro.deploy.reference) over the
-seeded 1k-node random DAG and records their scheduling fingerprints.
-The optimized executors must reproduce these byte-for-byte
+Runs the frozen *reference* executors (reference_executor.py, next to
+this script) over the seeded 1k-node random DAG and records their
+scheduling fingerprints. The optimized executors must reproduce these byte-for-byte
 (tests/test_executor_equivalence.py::TestGoldenRandomDag).
 
 Usage::
@@ -17,9 +17,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
 sys.path.insert(0, os.path.join(HERE, ".."))
+sys.path.insert(1, os.path.join(HERE, "..", ".."))  # for tests.golden
 
-from repro.deploy.reference import REFERENCE_FOR  # noqa: E402
 from repro.workloads.topologies import random_dag_estate  # noqa: E402
+from tests.golden.reference_executor import REFERENCE_FOR  # noqa: E402
 
 from test_executor_equivalence import (  # noqa: E402
     GOLDEN_CASES,
@@ -54,7 +55,7 @@ def main() -> None:
                 "workload": "random_dag_estate",
                 "nodes": GOLDEN_NODES,
                 "seed": GOLDEN_SEED,
-                "generated_by": "reference executors (repro.deploy.reference)",
+                "generated_by": "reference executors (tests.golden.reference_executor)",
                 "executors": executors,
             },
             handle,

@@ -2,8 +2,8 @@
 
 Drives *identical* seeded mutation sequences through the live
 copy-on-write document/history (:mod:`repro.state`) and the frozen
-deep-copy implementation (:mod:`repro.state.reference`), asserting at
-every step that
+deep-copy implementation (:mod:`tests.golden.reference_state`),
+asserting at every step that
 
 * ``to_json()`` output is byte-identical,
 * ``SnapshotHistory.diff`` results are equal for every version pair,
@@ -23,7 +23,7 @@ import pytest
 from repro.addressing import ResourceAddress
 from repro.state import SnapshotHistory, StateDocument
 from repro.state.document import ResourceState
-from repro.state.reference import (
+from tests.golden.reference_state import (
     ReferenceResourceState,
     ReferenceSnapshotHistory,
     ReferenceStateDocument,

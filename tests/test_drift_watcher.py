@@ -437,10 +437,15 @@ class TestCursorPersistence:
         # does not replay the apply-time history
         assert [f.kind for f in cycle.findings] == ["modified"]
         assert cycle.findings[0].event_count == 1
+        # the observe-only pass repaired nothing, so its checkpoint kept
+        # the event for a repairing pass: the same one-event finding,
+        # still with no replay of the history
         third = DriftWatcher(
             engine.gateway, cursor_path=cursor_path, auto_reconcile=False
         )
-        assert third.cycle(engine.state).findings == []
+        again = third.cycle(engine.state).findings
+        assert [f.kind for f in again] == ["modified"]
+        assert again[0].event_count == 1
 
     def test_checkpoint_written_through_journal_store(self, tmp_path):
         engine = deployed(seed=84)
@@ -473,8 +478,164 @@ class TestCursorPersistence:
         reloaded.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}, actor="cron"
         )
-        run = reloaded.watcher.poll(reloaded.state)
+        run = reloaded.watcher.detector.poll(reloaded.state)
         assert [f.kind for f in run.findings] == ["modified"]
+
+
+class TestOneWatcherPerEngine:
+    """``engine.watch()`` is one observe-only cycle of the engine's
+    watcher, and an observe-only pass leaves repairable drift for the
+    next repairing pass."""
+
+    def drift_a_vm(self, engine, sizes=("large",)):
+        vm = a_vm(engine)
+        for size in sizes:
+            engine.gateway.planes["aws"].external_update(
+                vm.resource_id, {"size": size}, actor="ops"
+            )
+        return vm
+
+    def test_watch_coalesces_a_burst(self):
+        engine = deployed(seed=86)
+        assert engine.watch().findings == []
+        self.drift_a_vm(engine, sizes=("large", "xlarge", "huge"))
+        run = engine.watch()
+        assert [f.kind for f in run.findings] == ["modified"]
+        assert run.findings[0].event_count == 3
+
+    def test_observe_only_pass_keeps_drift_across_reload(self, tmp_path):
+        from repro.persist import load_world, save_world
+
+        engine = deployed(seed=87)
+        engine.watch_continuously(auto_reconcile=False)  # apply history
+        vm = self.drift_a_vm(engine)
+        golden_size = vm.attrs["size"]
+        path = str(tmp_path / "w.world")
+        save_world(engine, path)
+        observer = load_world(path)
+        (seen,) = observer.watch_continuously(auto_reconcile=False)
+        assert [f.kind for f in seen.findings] == ["modified"]
+        save_world(observer, path)
+        repairer = load_world(path)
+        (repaired,) = repairer.watch_continuously(auto_reconcile=True)
+        assert [f.kind for f in repaired.findings] == ["modified"]
+        assert repaired.ok and repaired.report.count(ENFORCE) == 1
+        assert repairer.gateway.find_record(vm.resource_id).attrs[
+            "size"
+        ] == golden_size
+        scan = FullScanDetector(repairer.gateway).scan(repairer.state)
+        assert scan.findings == []
+
+    def test_watch_then_watch_continuously_repairs(self):
+        engine = deployed(seed=88)
+        engine.watch()
+        self.drift_a_vm(engine)
+        assert [f.kind for f in engine.watch().findings] == ["modified"]
+        (cycle,) = engine.watch_continuously()
+        assert [f.kind for f in cycle.findings] == ["modified"]
+        assert cycle.ok
+        assert FullScanDetector(engine.gateway).scan(engine.state).findings == []
+        assert engine.watch().findings == []
+
+    def test_explicit_reconcile_releases_the_held_drift(self):
+        engine = deployed(seed=90)
+        engine.watch()
+        self.drift_a_vm(engine)
+        run = engine.watch()
+        assert engine.reconcile(run.findings).ok
+        # the carried finding is re-derived from live state: converged
+        assert engine.watch().findings == []
+        assert engine.watcher.pending == []
+
+    def test_held_drift_does_not_replay_other_events(self):
+        engine = deployed(seed=91)
+        engine.watch()
+        vm = self.drift_a_vm(engine, sizes=("large", "xlarge"))
+        assert [f.kind for f in engine.watch().findings] == ["modified"]
+        engine.gateway.planes["aws"].external_create(
+            "aws_s3_bucket", {"name": "rogue"}, "us-east-1", actor="intern"
+        )
+        run = engine.watch()
+        assert sorted(f.kind for f in run.findings) == ["modified", "unmanaged"]
+        # the cursor moved past every event; only the live drift is
+        # carried, and it is re-derived, not re-read from the log
+        (again,) = engine.watch().findings
+        assert (again.kind, again.resource_id) == ("modified", vm.resource_id)
+        assert again.event_count == 2
+        by_provider, _ = engine.watcher.detector.tail()
+        assert all(events == [] for events in by_provider.values())
+
+    def test_watch_keeps_an_interrupted_repair(self):
+        engine = deployed(seed=92)
+        engine.watch()
+        vm = a_vm(engine)
+        plane = engine.gateway.planes["aws"]
+        plane.external_update(vm.resource_id, {"image": "win-2022"}, actor="x")
+        plane.faults.add_rule(
+            FaultSpec(
+                error_code="InsufficientCapacity",
+                message="no capacity",
+                match_type="aws_virtual_machine",
+                match_operation="create",
+                transient=False,
+                max_strikes=1,
+            )
+        )
+        (cut,) = engine.watch_continuously()
+        assert cut.report.remainder and cut.pending == 1
+        # no log event carries the half-done replacement; observe-only
+        # passes report it and keep it
+        for _ in range(2):
+            assert [f.kind for f in engine.watch().findings] == ["deleted"]
+        assert engine.watcher.auto_reconcile  # watch() restored the mode
+        (done,) = engine.watch_continuously()
+        assert done.ok and [f.kind for f in done.findings] == ["deleted"]
+        assert FullScanDetector(engine.gateway).scan(engine.state).findings == []
+
+    def test_deferred_repair_survives_watch_and_reload(self, tmp_path):
+        from repro.persist import load_world, save_world
+
+        engine = CloudlessEngine(seed=93)
+        assert engine.apply(two_region_estate(14)).ok
+        engine.watch()
+        entry = next(
+            e
+            for e in engine.state.resources()
+            if e.region == "westus2" and e.address.type == "azure_virtual_machine"
+        )
+        golden_size = entry.attrs["size"]
+        engine.gateway.planes["azure"].external_update(
+            entry.resource_id, {"size": "enormous"}, actor="cron"
+        )
+        now = engine.clock.now
+        engine.gateway.inject_outage(
+            "azure", OutageSpec(start_s=now, end_s=now + 400.0, region="westus2")
+        )
+        (dark,) = engine.watch_continuously()
+        assert [d.decision for d in dark.decisions] == [DEFER_DARK]
+        path = str(tmp_path / "w.world")
+        save_world(engine, path)
+        reloaded = load_world(path)
+        reloaded.clock.advance_to(now + 401.0)
+        # an observe-only pass past the horizon reports the readmitted
+        # repair and carries it on
+        assert [f.kind for f in reloaded.watch().findings] == ["modified"]
+        save_world(reloaded, path)
+        repairer = load_world(path)
+        (cycle,) = repairer.watch_continuously()
+        assert cycle.ok and [d.decision for d in cycle.decisions] == [ENFORCE]
+        live = repairer.gateway.find_record(entry.resource_id)
+        assert live.attrs["size"] == golden_size
+        assert FullScanDetector(repairer.gateway).scan(repairer.state).findings == []
+
+    def test_notify_only_findings_advance_the_cursor(self):
+        engine = deployed(seed=89)
+        engine.watch()
+        engine.gateway.planes["aws"].external_create(
+            "aws_s3_bucket", {"name": "rogue"}, "us-east-1", actor="intern"
+        )
+        assert [f.kind for f in engine.watch().findings] == ["unmanaged"]
+        assert engine.watch().findings == []
 
 
 class TestWatchCli:

@@ -211,6 +211,15 @@ class TestCompileOnce:
         assert repr(vpc_id) in shared
         assert shared == engine.plan(source).render()
 
+    def test_one_shot_apply_reads_a_resource_id_through_a_local(self):
+        # planning memoizes nothing Unknown, so apply evaluates local.vpc
+        # again once the VPC exists
+        engine = CloudlessEngine(seed=5)
+        assert engine.apply(self.VPC + self.SUBNETS).ok
+        by_address = {str(e.address): e for e in engine.state.resources()}
+        vpc = by_address["aws_vpc.main"]
+        assert by_address["aws_subnet.s"].attrs["vpc_id"] == vpc.resource_id
+
     def test_syntax_error_is_a_syntax_diagnostic(self):
         engine = CloudlessEngine(seed=5)
         source = 'resource "aws_vpc" "v" {\n  name = "\\q"\n}\n'

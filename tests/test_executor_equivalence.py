@@ -8,8 +8,9 @@ Two layers of guarantees:
   workloads.
 * *Cross-implementation*: the optimized heap-based dispatch loop must
   make byte-identical scheduling decisions to the frozen
-  pre-optimization loop in ``repro.deploy.reference`` -- same operation
-  sequence, same timings, same makespan, same failure/skip sets.
+  pre-optimization loop in ``tests.golden.reference_executor`` -- same
+  operation sequence, same timings, same makespan, same failure/skip
+  sets.
   Checked live on small workloads and against checked-in golden
   fingerprints on a seeded 1k-node random DAG (``tests/golden/``,
   regenerate with ``python tests/golden/generate_golden.py``).
@@ -31,7 +32,6 @@ from repro.deploy import (
     SequentialExecutor,
 )
 from repro.deploy.incremental import read_data_sources
-from repro.deploy.reference import REFERENCE_FOR
 from repro.graph import Planner, build_graph
 from repro.graph.critical_path import clear_analysis_cache
 from repro.lang import Configuration
@@ -43,6 +43,7 @@ from repro.workloads import (
     web_tier,
 )
 from repro.workloads.topologies import random_dag_estate
+from tests.golden.reference_executor import REFERENCE_FOR
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

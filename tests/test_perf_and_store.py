@@ -1,6 +1,8 @@
 """Unit tests for the perf registry and the indexed RecordStore."""
 
 import ipaddress
+import sys
+import threading
 
 import pytest
 
@@ -62,6 +64,34 @@ class TestPerfRegistry:
         perf.reset()
         assert perf.snapshot() == {"counters": {}, "timers": {}, "gauges": {}}
         assert perf.enabled  # reset clears data, not the switch
+
+
+    def test_threaded_updates_are_not_lost(self):
+        # the service's apply threads share one registry; a tiny switch
+        # interval makes an unlocked read-modify-write lose updates
+        perf = PerfRegistry(enabled=True)
+        threads, calls = 8, 50_000
+
+        def work():
+            for _ in range(calls):
+                perf.count("hits")
+                perf.observe("spent", 1.0)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(worker.is_alive() for worker in workers)
+        snap = perf.snapshot()
+        assert snap["counters"]["hits"] == threads * calls
+        assert snap["timers"]["spent"]["count"] == threads * calls
+        assert snap["timers"]["spent"]["total_s"] == threads * calls
 
 
 class TestParseNetwork:

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.chaos.invariants import canonical_state
+from repro.cloud.resilience import GATE_ALLOW, CircuitBreaker
 from repro.core.engine import CloudlessEngine
 from repro.service import (
     MODE_BROWNOUT,
@@ -28,7 +29,7 @@ from repro.service import (
     REJECT_TENANT_QUOTA,
     REJECT_UNKNOWN_OP,
     STATUS_OF,
-    CircuitBreaker,
+    AdmissionController,
     ControlPlaneService,
     DegradationLadder,
     ServicePolicy,
@@ -68,6 +69,28 @@ class TestRequestLifecycle:
         assert apply.ok and apply.body["ok"]
         assert drift.ok and drift.body["findings"] == 0
         assert stats.ok and stats.body["resources"] > 0
+
+    def test_drift_op_coalesces_a_burst(self, tmp_path):
+        async def main():
+            svc = make_service(tmp_path)
+            await svc.start()
+            await svc.request("a", "apply", payload={"sources": SRC})
+            engine = svc.sessions["a"].engine
+            vm = next(
+                e
+                for e in engine.state.resources()
+                if e.address.type == "aws_virtual_machine"
+            )
+            for size in ("large", "xlarge", "huge"):
+                engine.gateway.planes["aws"].external_update(
+                    vm.resource_id, {"size": size}, actor="ops"
+                )
+            drift = await svc.request("a", "drift")
+            await svc.stop()
+            return drift
+
+        drift = run(main())
+        assert drift.ok and drift.body["findings"] == 1
 
     def test_unknown_op_is_typed_400(self, tmp_path):
         async def main():
@@ -185,6 +208,11 @@ class TestAdmissionSheds:
         responses = run(main())
         shed = [r for r in responses if r.reason == REJECT_RATE_LIMITED]
         assert shed and all(r.status == 429 for r in shed)
+
+    def test_zero_rate_or_burst_is_a_value_error(self):
+        for quota in (TenantQuota(rate_rps=0.0), TenantQuota(burst=0.0)):
+            with pytest.raises(ValueError):
+                AdmissionController(default_quota=quota).check("t", 0.0, 0, 0)
 
     def test_tenant_quota_sheds_429(self, tmp_path):
         async def main():
@@ -374,21 +402,35 @@ class TestDegradation:
 
 class TestBreakers:
     def test_breaker_state_machine(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=10.0)
-        assert breaker.allow(0.0)
+        # the tenant breaker the service builds from its policy
+        policy = ServicePolicy(breaker_threshold=2, breaker_cooldown_s=10.0)
+        breaker = ControlPlaneService("unused", policy=policy)._breaker("t")
+        assert isinstance(breaker, CircuitBreaker)
+
+        def allow(now):
+            return breaker.gate(now) == GATE_ALLOW
+
+        assert allow(0.0)
         breaker.record_failure(0.0)
-        assert breaker.allow(1.0)
+        assert allow(1.0)
         breaker.record_failure(1.0)
         assert breaker.state == "open"
-        assert not breaker.allow(5.0)  # cooling
-        assert breaker.allow(11.0)  # half-open probe
+        assert not allow(5.0)  # cooling
+        assert allow(11.0)  # half-open probe
         assert breaker.state == "half-open"
-        assert not breaker.allow(11.5)  # only one probe
+        assert not allow(11.5)  # only one probe
         breaker.record_failure(11.5)
         assert breaker.state == "open"
-        assert breaker.allow(22.0)
-        breaker.record_success()
+        assert allow(22.0)  # fixed cooldown: no backoff growth
+        breaker.record_success(22.0)
         assert breaker.state == "closed"
+
+    def test_failure_while_open_keeps_the_cooldown(self):
+        policy = ServicePolicy(breaker_threshold=1, breaker_cooldown_s=10.0)
+        breaker = ControlPlaneService("unused", policy=policy)._breaker("t")
+        breaker.record_failure(0.0)
+        breaker.record_failure(8.0)  # a straggler from before the trip
+        assert breaker.gate(10.0) == GATE_ALLOW
 
     def test_failing_tenant_trips_its_breaker_only(self, tmp_path):
         async def main():
