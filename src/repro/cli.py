@@ -292,7 +292,6 @@ def cmd_watch(args) -> int:
     cycles = engine.watch_continuously(
         cycles=max(1, args.cycles),
         interval_s=args.interval,
-        cursor_path=_world_path(args) + ".cursors",
         max_lag_s=args.max_lag,
         auto_reconcile=args.reconcile,
     )

@@ -463,14 +463,7 @@ class CloudlessEngine:
         if journal is None and self.wal_path:
             journal = IntentJournal(self.wal_path)
             journal.begin_run()
-        if journal is not None or crash_hook is not None:
-            result = self._executor().apply(
-                plan, wal=journal, crash_hook=crash_hook
-            )
-        else:
-            # no WAL, no crash hook: the historical call, byte-identical
-            # scheduling to the golden reference
-            result = self._executor().apply(plan)
+        result = self._executor().apply(plan, wal=journal, crash_hook=crash_hook)
         if journal is not None and result.ok:
             journal.mark_clean()
             journal.close()
@@ -616,7 +609,6 @@ class CloudlessEngine:
         cycles: int = 1,
         interval_s: float = 60.0,
         policy: Optional[Dict[str, str]] = None,
-        cursor_path: Optional[str] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
     ) -> List[WatchCycle]:
@@ -625,11 +617,9 @@ class CloudlessEngine:
 
         Runs the engine's one watcher, so deferred/pending repairs
         survive between invocations and ``watch`` shares its cursors
-        and partition-health ledger. The first ``cursor_path`` given
-        becomes its checkpoint."""
+        and partition-health ledger. Cursors and carryover persist
+        with the world (:func:`~repro.persist.save_world`)."""
         watcher = self.watcher
-        if cursor_path and watcher.cursor_store is None:
-            watcher.checkpoint_to(cursor_path)
         watcher.max_lag_s = max_lag_s
         watcher.auto_reconcile = auto_reconcile
         if policy:

@@ -316,30 +316,6 @@ class _GroupedRateAwareReady(_ReadyQueue):
         return self._size
 
 
-class _PickNextReady(_ReadyQueue):
-    """Compatibility queue for subclasses that only override ``pick_next``.
-
-    Preserves the pre-optimization behaviour (a plain list the picker
-    scans) so custom schedulers keep working unchanged -- at the old
-    O(n) cost.
-    """
-
-    def __init__(self, pick: Callable[[List[str]], str]):
-        self._pick = pick
-        self._items: List[str] = []
-
-    def push(self, cid: str) -> None:
-        self._items.append(cid)
-
-    def pop(self) -> str:
-        cid = self._pick(self._items)
-        self._items.remove(cid)
-        return cid
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class PlanExecutor:
     """Base discrete-event executor; subclasses pick scheduling order."""
 
@@ -374,9 +350,8 @@ class PlanExecutor:
         strategy's scheduling order; the hot path dispatches through
         :meth:`_make_ready_queue`, whose pop order must match it
         exactly (heap variants preserve determinism by tie-breaking on
-        the change id). Subclasses that override only ``pick_next``
-        still work -- the dispatch loop detects that and falls back to
-        a list-based queue driven by this method.
+        the change id). A subclass that changes the order overrides
+        both.
         """
         return ready[0]
 
@@ -384,22 +359,10 @@ class PlanExecutor:
         """The ready-pool implementation matching :meth:`pick_next`.
 
         Called after :meth:`prepare`, so strategy state (priorities) is
-        available. Override together with ``pick_next``.
+        available. Override together with ``pick_next``; the dispatch
+        loop schedules through this queue only.
         """
         return _FifoReady()
-
-    def _ready_queue(self) -> _ReadyQueue:
-        cls = type(self)
-        pick_depth = next(
-            i for i, k in enumerate(cls.__mro__) if "pick_next" in vars(k)
-        )
-        queue_depth = next(
-            i for i, k in enumerate(cls.__mro__) if "_make_ready_queue" in vars(k)
-        )
-        if pick_depth < queue_depth:
-            # a subclass customized the picker without supplying a queue
-            return _PickNextReady(self.pick_next)
-        return self._make_ready_queue()
 
     # -- main loop -------------------------------------------------------------
 
@@ -433,7 +396,7 @@ class PlanExecutor:
         PERF.count("executor.applies")
 
         indeg: Dict[str, int] = dag.in_degrees()
-        ready = self._ready_queue()
+        ready = self._make_ready_queue()
         for cid in sorted(n for n, d in indeg.items() if d == 0):
             ready.push(cid)
         running: Dict[str, _Running] = {}

@@ -5,9 +5,11 @@ sweeps with cursor-based tailing of each provider plane's activity log
 -- the push-based drift handling the paper advocates:
 
 * **durable cursors** -- per-partition cursors are event *sequence
-  numbers* checkpointed through :class:`JournalStateStore`, so a
-  restarted watcher resumes where it stopped instead of replaying (or
-  worse, re-repairing) the whole log;
+  numbers*; they and the watcher's carryover are saved with the world
+  (:func:`~repro.persist.save_world`), the same file as the cloud and
+  the golden state they describe, so a restarted watcher resumes where
+  that world stopped instead of replaying (or worse, re-repairing) the
+  whole log;
 * **bounded staleness** -- every partition carries an observation lag;
   a partition unobserved for longer than ``max_lag_s`` (outage, open
   breaker) is reported stale, and lags surface as ``drift.*`` perf
@@ -38,7 +40,6 @@ from ..cloud.resilience import HealthMonitor, ResilientGateway, RetryPolicy
 from ..lang.values import values_equal
 from ..perf import PERF
 from ..state.document import StateDocument
-from ..state.store import JournalStateStore
 from .detector import DetectionRun, DriftFinding, LogWatchDetector, coalesce
 from .reconcile import (
     ADOPT,
@@ -156,53 +157,16 @@ class WatchCycle:
         return out
 
 
-class WatchCursorStore:
-    """Durable per-partition cursors, journaled like golden state.
-
-    Reuses :class:`JournalStateStore` (keyframe + JSONL delta journal,
-    torn-tail truncation, ``.bak`` fallback): a cursor checkpoint is an
-    O(changed) append, and every crash window replays to the same
-    cursors -- the watcher resumes, it never replays the log. The
-    watcher's carryover (:meth:`DriftWatcher.carryover`) is checkpointed
-    with the cursors, since the events behind it are already consumed.
-    """
-
-    def __init__(self, path: str, compact_threshold: int = 32):
-        self._store = JournalStateStore(path, compact_threshold=compact_threshold)
-
-    def load(self) -> Dict[str, int]:
-        doc = self._store.read()
-        raw = doc.outputs.get("cursors", {})
-        return {str(name): int(cursor) for name, cursor in raw.items()}
-
-    def load_carryover(self) -> Dict[str, Any]:
-        return self._store.read().outputs.get("carryover", {})
-
-    def save(
-        self, cursors: Mapping[str, int], carryover: Dict[str, Any]
-    ) -> None:
-        snapshot = {name: int(c) for name, c in sorted(cursors.items())}
-        doc = self._store.read()
-        if (
-            doc.outputs.get("cursors") == snapshot
-            and doc.outputs.get("carryover", {}) == carryover
-        ):
-            return  # nothing moved; no journal append
-        doc.outputs["cursors"] = snapshot
-        doc.outputs["carryover"] = carryover
-        doc.bump()
-        self._store.write(doc)
-
-
 class DriftWatcher:
     """Continuous reconciliation: tail logs, decide, repair, repeat.
 
     One :meth:`cycle` = tail every plane's activity log past its
     cursor, account staleness, coalesce events into findings, classify
     each finding (enforce/adopt/notify/defer-dark), drive the
-    :class:`Reconciler` over the actionable ones, and checkpoint the
-    cursors. :meth:`run` strings cycles together on the simulated
-    clock.
+    :class:`Reconciler` over the actionable ones. :meth:`run` strings
+    cycles together on the simulated clock. Cursors and carryover live
+    in memory; :func:`~repro.persist.save_world` is their only durable
+    copy.
     """
 
     def __init__(
@@ -212,7 +176,6 @@ class DriftWatcher:
         retry: Optional[RetryPolicy] = None,
         health: Optional[HealthMonitor] = None,
         policy: Optional[Dict[str, str]] = None,
-        cursor_path: Optional[str] = None,
         max_lag_s: float = 900.0,
         auto_reconcile: bool = True,
         detector: Optional[LogWatchDetector] = None,
@@ -224,7 +187,6 @@ class DriftWatcher:
         self.reconciler = reconciler or Reconciler(self.gateway, policy=policy)
         self.max_lag_s = max_lag_s
         self.auto_reconcile = auto_reconcile
-        self.cursor_store: Optional[WatchCursorStore] = None
         #: when each partition was last successfully observed
         self._last_seen: Dict[str, float] = {}
         self._started_at: Optional[float] = None
@@ -234,25 +196,16 @@ class DriftWatcher:
         self._pending: List[DriftFinding] = []
         #: repairs deferred to a dark partition's recovery horizon
         self._deferred: List[Tuple[DriftFinding, float]] = []
-        if cursor_path:
-            self.checkpoint_to(cursor_path)
-
-    def checkpoint_to(self, cursor_path: str) -> None:
-        """Journal cursors to ``cursor_path``, resuming from the
-        checkpoint already there."""
-        self.cursor_store = WatchCursorStore(cursor_path)
-        self.detector.restore_cursors(self.cursor_store.load())
-        self.restore_carryover(self.cursor_store.load_carryover())
 
     def carryover(self) -> Dict[str, Any]:
-        """Pending and deferred repairs in JSON form, for a checkpoint."""
+        """Pending and deferred repairs in JSON form, for the world file."""
         return {
             "pending": [f.to_dict() for f in self._pending],
             "deferred": [[f.to_dict(), at] for f, at in self._deferred],
         }
 
     def restore_carryover(self, data: Mapping[str, Any]) -> None:
-        """Add a checkpoint's carryover; a resource already carried
+        """Add a saved world's carryover; a resource already carried
         keeps its entry."""
         held = {_key(f) for f in self._pending}
         held.update(_key(f) for f, _ in self._deferred)
@@ -336,9 +289,6 @@ class DriftWatcher:
         elif actionable:
             report = self._repair(actionable, state)
 
-        if self.cursor_store is not None:
-            self.cursor_store.save(self.detector.cursors, self.carryover())
-
         run = DetectionRun(
             findings=findings,
             api_calls=detect_calls,
@@ -410,8 +360,8 @@ class DriftWatcher:
     ) -> Tuple[List[DriftFinding], List[Tuple[DriftFinding, float]]]:
         """Deferred repairs whose recovery horizon has passed; the rest
         stay parked (the log events behind them were already consumed,
-        so the deferred finding, and its checkpoint, is their only
-        carrier)."""
+        so the deferred finding, and the world file that saves it, is
+        their only carrier)."""
         readmitted: List[DriftFinding] = []
         still_dark: List[Tuple[DriftFinding, float]] = []
         for finding, retry_at in self._deferred:

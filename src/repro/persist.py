@@ -197,7 +197,7 @@ def engine_from_dict(data: Dict[str, Any]) -> CloudlessEngine:
         plane = engine.gateway.planes.get(name)
         if plane is not None:
             plane_from_dict(plane, plane_data)
-    engine.state = StateDocument.from_json(json.dumps(data.get("state", {})))
+    engine.state = StateDocument.from_dict(data.get("state", {}))
     engine.history = history_from_dict(data.get("history", []))
     engine.last_sources = dict(data.get("last_sources", {}))
     engine.last_variables = dict(data.get("last_variables", {}))

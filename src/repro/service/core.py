@@ -61,7 +61,6 @@ class ServicePolicy:
     brownout_down: float = 0.40
     read_only_up: float = 0.90
     read_only_down: float = 0.60
-    persist_every_op: bool = True
 
 
 @dataclasses.dataclass
@@ -186,13 +185,12 @@ class ControlPlaneService:
         PERF.gauge("service.active_tenants", 0)
 
     async def kill(self) -> None:
-        """Simulated crash: abandon the queue, leave lease/marker debris.
+        """Simulated crash: abandon the queue, leave lease debris.
 
         Queued and in-flight requests are answered ``shutting-down``
         (the connection-reset analog -- still typed, still no hang);
-        sessions persist their worlds but keep their leases and owner
-        markers, exactly what a SIGKILL leaves for the next instance to
-        preempt.
+        sessions persist their worlds but keep their leases, exactly
+        what a SIGKILL leaves for the next instance to preempt.
         """
         if self._state in ("stopped", "killed"):
             return
@@ -381,8 +379,8 @@ class ControlPlaneService:
             except (KeyboardInterrupt, SystemExit, SimulatedCrash) as exc:
                 # a chaos crash hook fired mid-apply: this tenant's
                 # engine just "died". Leave SIGKILL debris (world saved,
-                # lease and owner marker abandoned) and answer typed --
-                # the restarting instance preempts and resumes.
+                # lease abandoned) and answer typed -- the restarting
+                # instance preempts and resumes.
                 session = self.sessions.pop(request.tenant, None)
                 if session is not None and not session.closed:
                     session.kill()
@@ -528,7 +526,7 @@ class ControlPlaneService:
             body = {"resources": len(engine.state), **session.describe()}
         else:  # unreachable: admission filters unknown ops
             raise RuntimeError(f"unknown op {op!r}")
-        if mutating and self.policy.persist_every_op:
+        if mutating:
             session.persist()
         return body
 

@@ -3,9 +3,10 @@
 Every tenant the service knows gets a *home* under the service root:
 
     <root>/tenants/<tenant>/world.json   -- full engine world (persist)
-    <root>/tenants/<tenant>/state.json   -- journal-mirrored golden state
-    <root>/tenants/<tenant>/state.json.owner  -- advisory store owner
     <root>/tenants/<tenant>/wal          -- intent journal for resume
+
+The world file is the estate's one durable copy: cloud, golden state,
+history and the drift watcher's cursors and carryover.
 
 A :class:`TenantSession` is one service instance's live handle on that
 home: a private :class:`~repro.core.engine.CloudlessEngine` (no shared
@@ -20,10 +21,9 @@ newer instance now owns. This is the PR 4 lease-fencing machinery
 reused one level up -- sessions instead of transactions.
 
 Crash realism: ``kill()`` persists the world but deliberately leaves
-the session lease and the store's owner marker in place, exactly the
-debris a SIGKILL'd process leaves. The restarting instance takes over
-with ``preempt=True`` (bumps the fencing token past the zombie's) and
-``steal=True`` on the store marker, then runs ``resume`` to adopt
+the session lease in place, exactly the debris a SIGKILL'd process
+leaves. The restarting instance takes over with ``preempt=True`` (bumps
+the fencing token past the zombie's), then runs ``resume`` to adopt
 whatever the dead instance's in-flight applies had provisioned.
 """
 
@@ -35,7 +35,6 @@ from typing import Dict, Optional
 from ..core.engine import CloudlessEngine
 from ..persist import load_world, save_world
 from ..state.locks import LockGrant, ResourceLockManager
-from ..state.store import JournalStateStore
 
 #: default session-lease TTL; long against op latency, short against
 #: operator reaction time -- the window a zombie can linger unfenced
@@ -70,7 +69,6 @@ class TenantHome:
         self.tenant = tenant
         self.path = os.path.join(root, "tenants", tenant)
         self.world_path = os.path.join(self.path, "world.json")
-        self.state_path = os.path.join(self.path, "state.json")
         self.wal_path = os.path.join(self.path, "wal")
 
     def exists(self) -> bool:
@@ -84,14 +82,12 @@ class TenantSession:
         self,
         home: TenantHome,
         engine: CloudlessEngine,
-        store: JournalStateStore,
         plane: ResourceLockManager,
         grant: LockGrant,
         ttl_s: float,
     ):
         self.home = home
         self.engine = engine
-        self.store = store
         self.plane = plane
         self.grant = grant
         self.ttl_s = ttl_s
@@ -130,13 +126,6 @@ class TenantSession:
             raise SessionFencedError(
                 f"tenant {tenant!r} session held by {blockers}"
             )
-        try:
-            store = JournalStateStore(
-                home.state_path, owner=holder, steal=preempt
-            )
-        except BaseException:
-            plane.release(holder, grant.fencing_token)
-            raise
         if home.exists():
             engine = load_world(home.world_path)
         else:
@@ -145,7 +134,7 @@ class TenantSession:
         # load_world does not restore wal_path (the CLI re-points it per
         # invocation); a session always journals into the tenant home.
         engine.wal_path = home.wal_path
-        return cls(home, engine, store, plane, grant, ttl_s)
+        return cls(home, engine, plane, grant, ttl_s)
 
     # -- fencing ------------------------------------------------------------
 
@@ -171,24 +160,21 @@ class TenantSession:
 
     def persist(self) -> None:
         save_world(self.engine, self.home.world_path)
-        self.store.write(self.engine.state)
 
     def close(self, now: float) -> None:
-        """Graceful shutdown: persist, then surrender lease and marker."""
+        """Graceful shutdown: persist, then surrender the lease."""
         if self.closed:
             return
         self.persist()
-        self.store.release_owner()
         self.plane.release(self.grant.holder, self.grant.fencing_token)
         self.closed = True
 
     def kill(self) -> None:
-        """Simulated crash: persist the world, abandon lease and marker.
+        """Simulated crash: persist the world, abandon the lease.
 
         Mirrors what a SIGKILL leaves behind -- the coordination plane
-        still shows this instance holding the session, the store's
-        owner marker still names it. Only a ``preempt``/``steal``
-        takeover (or lease expiry) clears the debris.
+        still shows this instance holding the session. Only a
+        ``preempt`` takeover (or lease expiry) clears the debris.
         """
         if self.closed:
             return

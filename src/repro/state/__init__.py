@@ -16,7 +16,6 @@ from .store import (
     MemoryStateStore,
     StaleStateError,
     StateStore,
-    StoreOwnedError,
 )
 from .transactions import (
     CommittedTransaction,
@@ -49,6 +48,5 @@ __all__ = [
     "StateDocument",
     "StateStore",
     "StateTransaction",
-    "StoreOwnedError",
     "TransactionError",
 ]

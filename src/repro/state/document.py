@@ -390,7 +390,13 @@ class StateDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "StateDocument":
-        data = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "StateDocument":
+        """The inverse of :meth:`to_dict`. Nested attribute and output
+        values are adopted, not copied: pass data nothing else mutates
+        (freshly parsed JSON, or a serialized document's ``to_dict``)."""
         doc = cls(serial=data.get("serial", 0), lineage=data.get("lineage", "root"))
         doc.outputs = dict(data.get("outputs", {}))
         for entry in data.get("resources", []):

@@ -262,7 +262,7 @@ class SnapshotHistory:
             }
             if record.is_keyframe:
                 assert record.keyframe is not None
-                item["state"] = json.loads(record.keyframe.to_json())
+                item["state"] = record.keyframe.to_dict()
             else:
                 item["delta"] = _delta_dict(record)
             out.append(item)
@@ -290,7 +290,7 @@ class SnapshotHistory:
                 description=item.get("description", ""),
             )
             if "state" in item:
-                doc = StateDocument.from_json(json.dumps(item["state"]))
+                doc = StateDocument.from_dict(item["state"])
                 record.keyframe = doc
                 record.serial = doc.serial
                 record.lineage = doc.lineage

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import uuid
 from typing import List, Optional
 
 from ..addressing import ResourceAddress
@@ -103,106 +102,15 @@ class JournalStateStore(StateStore):
     deltas are idempotent (absolute serials, full entry values), every
     crash window -- before either keyframe write, between them, before
     the journal truncation -- replays to the same document.
-
-    Ownership: two live engine instances appending to the same journal
-    interleave deltas from different documents -- silent corruption.
-    Passing ``owner`` claims an advisory marker (``path + ".owner"``)
-    at construction; a second claimant gets a :class:`StoreOwnedError`
-    naming the current owner instead. A marker whose recorded pid is
-    dead is stale and reclaimed silently; ``steal=True`` takes over a
-    live marker (legitimate only for a caller holding a newer session
-    lease, e.g. a restarted service fencing out its zombie
-    predecessor). ``owner=None`` skips the guard entirely, keeping
-    single-owner callers untouched.
     """
 
-    def __init__(
-        self,
-        path: str,
-        compact_threshold: int = 64,
-        owner: Optional[str] = None,
-        steal: bool = False,
-    ):
+    def __init__(self, path: str, compact_threshold: int = 64):
         self.path = path
         self.backup_path = path + ".bak"
         self.journal_path = path + ".journal"
-        self.owner_path = path + ".owner"
         self.compact_threshold = max(1, compact_threshold)
         self._last: Optional[StateDocument] = None
         self._journal_len: Optional[int] = None
-        self.owner = owner
-        self._owner_token: Optional[str] = None
-        if owner is not None:
-            self._claim_owner(steal)
-
-    # -- ownership ---------------------------------------------------------
-
-    def _read_owner_marker(self) -> Optional[dict]:
-        try:
-            with open(self.owner_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OSError, OverflowError):
-            return True  # exists but not ours (or unknowable): assume live
-        return True
-
-    def _claim_owner(self, steal: bool) -> None:
-        marker = self._read_owner_marker()
-        if marker is not None and not steal:
-            pid = marker.get("pid")
-            live = isinstance(pid, int) and self._pid_alive(pid)
-            if live:
-                raise StoreOwnedError(
-                    f"journal store {self.path!r} is already open: owned "
-                    f"by {marker.get('owner', '<unknown>')!r} (pid {pid}); "
-                    f"a second live instance appending to the same journal "
-                    f"would corrupt it. Release the other instance, or "
-                    f"pass steal=True if it is a fenced-out zombie."
-                )
-        token = uuid.uuid4().hex
-        directory = os.path.dirname(os.path.abspath(self.owner_path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"owner": self.owner, "pid": os.getpid(), "token": token},
-                    handle,
-                )
-            os.replace(tmp_path, self.owner_path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-        self._owner_token = token
-
-    def release_owner(self) -> None:
-        """Drop the advisory owner marker (if this instance holds it)."""
-        if self._owner_token is None:
-            return
-        marker = self._read_owner_marker()
-        if marker is not None and marker.get("token") == self._owner_token:
-            try:
-                os.unlink(self.owner_path)
-            except OSError:
-                pass
-        self._owner_token = None
-
-    def owns(self) -> bool:
-        """Does this instance still hold the advisory marker?"""
-        if self._owner_token is None:
-            return False
-        marker = self._read_owner_marker()
-        return marker is not None and marker.get("token") == self._owner_token
 
     # -- reading -----------------------------------------------------------
 
@@ -341,7 +249,3 @@ def _apply_delta(doc: StateDocument, delta: dict) -> None:
 
 class StaleStateError(RuntimeError):
     """Write rejected because a newer state already exists."""
-
-
-class StoreOwnedError(RuntimeError):
-    """A second live instance tried to open an owned journal store."""

@@ -416,51 +416,36 @@ class TestWatcherStaleness:
 
 
 class TestCursorPersistence:
-    """Satellite 4: cursor checkpoints survive a watcher restart."""
+    """Cursors and carryover survive a restart through the world file."""
 
     def test_restarted_watcher_resumes_not_replays(self, tmp_path):
+        from repro.persist import load_world, save_world
+
         engine = deployed(seed=83)
-        cursor_path = str(tmp_path / "watch.cursors")
-        watcher = DriftWatcher(engine.gateway, cursor_path=cursor_path)
-        consume_history(watcher, engine.state)  # checkpoints cursors
+        consume_history(engine.watcher, engine.state)
         vm = a_vm(engine)
         engine.gateway.planes["aws"].external_update(
             vm.resource_id, {"size": "large"}, actor="cron"
         )
-        # "restart": a fresh watcher (fresh detector, cursors all zero)
-        # pointed at the same checkpoint file
-        restarted = DriftWatcher(
-            engine.gateway, cursor_path=cursor_path, auto_reconcile=False
-        )
-        cycle = restarted.cycle(engine.state)
-        # resumes at the checkpoint: sees exactly the one new event,
+        path = str(tmp_path / "w.world")
+        save_world(engine, path)
+        # "restart": a fresh engine and watcher loaded from the world
+        restarted = load_world(path)
+        restarted.watcher.auto_reconcile = False
+        cycle = restarted.watcher.cycle(restarted.state)
+        # resumes at the saved cursors: sees exactly the one new event,
         # does not replay the apply-time history
         assert [f.kind for f in cycle.findings] == ["modified"]
         assert cycle.findings[0].event_count == 1
-        # the observe-only pass repaired nothing, so its checkpoint kept
-        # the event for a repairing pass: the same one-event finding,
-        # still with no replay of the history
-        third = DriftWatcher(
-            engine.gateway, cursor_path=cursor_path, auto_reconcile=False
-        )
-        again = third.cycle(engine.state).findings
+        # the observe-only pass repaired nothing, so the world it saved
+        # carries the drift to a repairing pass: the same one-event
+        # finding, still with no replay of the history
+        save_world(restarted, path)
+        third = load_world(path)
+        third.watcher.auto_reconcile = False
+        again = third.watcher.cycle(third.state).findings
         assert [f.kind for f in again] == ["modified"]
         assert again[0].event_count == 1
-
-    def test_checkpoint_written_through_journal_store(self, tmp_path):
-        engine = deployed(seed=84)
-        cursor_path = str(tmp_path / "watch.cursors")
-        watcher = DriftWatcher(engine.gateway, cursor_path=cursor_path)
-        consume_history(watcher, engine.state)
-        from repro.drift import WatchCursorStore
-
-        assert WatchCursorStore(cursor_path).load() == watcher.cursors
-        # identical cursors don't grow the journal
-        import os
-
-        size = os.path.getsize(cursor_path + ".journal")
-        watcher.cycle(engine.state)
-        assert os.path.getsize(cursor_path + ".journal") == size
 
     def test_world_persistence_round_trips_cursors(self, tmp_path):
         from repro.persist import load_world, save_world
@@ -730,3 +715,45 @@ resource "aws_virtual_machine" "web" {
         # nothing was repaired: the next reconcile pass still sees it
         reloaded = load_world(world)
         assert reloaded.gateway.find_record(vm.resource_id) is None
+
+    def test_watch_cut_before_the_world_is_saved_loses_no_drift(
+        self, project, capsys, monkeypatch
+    ):
+        import os
+
+        from repro import cli
+        from repro.persist import load_world, save_world
+
+        assert self.run(project, "init") == 0
+        assert self.run(project, "apply") == 0
+        assert self.run(project, "watch") == 0  # consume history
+        world = os.path.join(project, "cloudless.world")
+        engine = load_world(world)
+        vm = next(
+            e
+            for e in engine.state.resources()
+            if e.address.type == "aws_virtual_machine"
+        )
+        engine.gateway.planes["aws"].external_update(
+            vm.resource_id, {"size": "xlarge"}, actor="cron"
+        )
+        save_world(engine, world)
+
+        def crash(args, engine):
+            raise KeyboardInterrupt("killed before the world was saved")
+
+        # the repairing cycle runs, then the process dies: the world on
+        # disk still holds the drifted VM and the cursors before it
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_save_engine", crash)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(project, "watch", "--reconcile")
+        capsys.readouterr()
+        assert self.run(project, "watch") == 0
+        out = capsys.readouterr().out
+        assert "[modified] aws_virtual_machine.web" in out
+        reloaded = load_world(world)
+        scan = FullScanDetector(reloaded.gateway).scan(reloaded.state)
+        assert [(f.kind, f.resource_id) for f in scan.findings] == [
+            ("modified", vm.resource_id)
+        ]

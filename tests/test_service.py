@@ -565,7 +565,7 @@ class TestSessionsAndCrash:
         assert all(r.ok or r.reason for r in responses)
         assert any(r.reason == "shutting-down" for r in responses)
 
-    def test_graceful_stop_releases_owner_markers(self, tmp_path):
+    def test_tenant_home_is_the_world_and_the_wal(self, tmp_path):
         async def main():
             svc = make_service(tmp_path)
             await svc.start()
@@ -573,16 +573,5 @@ class TestSessionsAndCrash:
             await svc.stop()
 
         run(main())
-        assert not (
-            tmp_path / "tenants" / "a" / "state.json.owner"
-        ).exists()
-
-    def test_kill_leaves_owner_marker_debris(self, tmp_path):
-        async def main():
-            svc = make_service(tmp_path)
-            await svc.start()
-            await svc.request("a", "apply", payload={"sources": SRC})
-            await svc.kill()
-
-        run(main())
-        assert (tmp_path / "tenants" / "a" / "state.json.owner").exists()
+        home = tmp_path / "tenants" / "a"
+        assert sorted(p.name for p in home.iterdir()) == ["wal", "world.json"]
